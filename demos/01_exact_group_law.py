@@ -10,19 +10,19 @@ from fractions import Fraction
 
 from ecrank import (
     INFINITY,
+    Curve,
     Point,
     add,
     discriminant,
     double,
     double_via_duplication,
     is_on_curve,
-    make_curve,
     negate,
     scalar_mul,
 )
 from ecrank.curves import duplication_x
 
-curve = make_curve(-4, 53361)
+curve = Curve(-4, 53361)
 print("curve: y^2 = x^3 - 4x + 53361")
 print("discriminant:", discriminant(curve))
 print()

@@ -19,7 +19,6 @@ from .curves import (
     double,
     double_via_duplication,
     is_on_curve,
-    make_curve,
     negate,
     scalar_mul,
 )
@@ -33,12 +32,12 @@ from .descent import (
     rank_ge2_certificate,
     rank_ge3_probe,
     search_points,
-    two_torsion_points,
 )
 from .errors import (
     BadReduction,
     EcrankError,
     FactorizationIncomplete,
+    InconsistentCertificate,
     InfinityTarget,
     NotPrime,
     PointNotOnCurve,
@@ -73,6 +72,7 @@ from .torsion import (
     nagell_lutz_torsion,
     torsion_order_bound,
     torsion_points,
+    two_torsion_points,
 )
 
 __version__ = "0.1.0"

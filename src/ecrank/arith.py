@@ -159,13 +159,6 @@ def square_divisor_root(factors: dict[int, int]) -> int:
     return y
 
 
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
-
-
 def exact_sqrt(n: int) -> int | None:
     """Integer square root of n when n is a perfect square, else None."""
     if n < 0:

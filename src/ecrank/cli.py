@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .curves import make_curve
+from .curves import Curve
 from .errors import EcrankError
 from .family import FamilyParams, build_family_curve
 from .records import (
@@ -130,7 +130,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_count(args) -> int:
-    curve = make_curve(args.b, args.c)
+    curve = Curve(args.b, args.c)
     rc = reduce_curve(curve, args.mod)
     if rc.is_good:
         n = count_points(rc)
@@ -160,7 +160,7 @@ def cmd_torsion(args) -> int:
     if args.b is not None or args.c is not None:
         if args.b is None or args.c is None:
             raise EcrankError("--b and --c must be given together")
-        curve = make_curve(args.b, args.c)
+        curve = Curve(args.b, args.c)
         report = nagell_lutz_torsion(curve, None, args.reduction_primes)
     elif None in (args.m, args.p, args.q, args.r):
         raise EcrankError("give either --b/--c or all of --m/--p/--q/--r")
@@ -184,11 +184,16 @@ def cmd_torsion(args) -> int:
 
 def cmd_recheck(args) -> int:
     all_ok = True
-    with open(args.record, "r", encoding="utf-8") as fh:
+    with open(args.record, "rb") as fh:  # a line that is not UTF-8 is unreadable, not fatal
         for i, line in enumerate(fh):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                all_ok = False
+                print(f"record {i}: MISMATCH (unreadable: {type(exc).__name__})")
+                continue
             ok = recheck_record(record)
             all_ok = all_ok and ok
             label = params_from_record(record) if ok else "RECORD TAMPERED OR STALE"

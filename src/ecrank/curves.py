@@ -58,10 +58,6 @@ class Curve:
         return x * x * x + self.b * x + self.c
 
 
-def make_curve(b: int, c: int) -> Curve:
-    return Curve(b, c)
-
-
 def discriminant(curve: Curve) -> int:
     """Delta = -16 (4 b^3 + 27 c^2); its prime divisors are the bad primes."""
     return -16 * (4 * curve.b**3 + 27 * curve.c**2)

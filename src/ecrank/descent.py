@@ -14,13 +14,13 @@ every certificate rests on the halving route, which needs no hypotheses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import polys
 from .arith import rational_sqrt
 from .curves import INFINITY, Curve, Point, _add_raw, add, is_on_curve
-from .errors import InfinityTarget, PointNotOnCurve
+from .errors import InconsistentCertificate, InfinityTarget, PointNotOnCurve
 from .family import (
     CanonicalPoints,
     FamilyParams,
@@ -29,6 +29,7 @@ from .family import (
     validate_hypotheses,
 )
 from .torsion import TorsionReport, nagell_lutz_torsion
+from .torsion import two_torsion_points  # noqa: F401  re-exported
 
 
 @dataclass(frozen=True)
@@ -66,13 +67,6 @@ def halving_quartic(curve: Curve, target: Point) -> HalvingQuartic:
     ]
     prim = polys.primitive_part(raw)
     return HalvingQuartic(tuple(prim), target)  # type: ignore[arg-type]
-
-
-def two_torsion_points(curve: Curve) -> list[Point]:
-    """Rational points of order dividing 2 (excluding O): integer roots of
-    the cubic with y = 0.  Rational 2-torsion abscissas are integral
-    because the cubic is monic."""
-    return [Point(x, 0) for x in polys.integer_roots([curve.c, curve.b, 0, 1])]
 
 
 def _halves_from_roots(curve: Curve, target: Point, roots) -> list[Point]:
@@ -178,21 +172,16 @@ def _congruence_route(params: FamilyParams, target: Point) -> CongruenceEvidence
 class ClassVerdict:
     """Evidence that a point's class in E(Q)/2E(Q) is (non)zero.
 
-    nonzero is None only when factoring inside root extraction gave up,
-    which never happens at desk scale; a None verdict poisons any
-    certificate that would have used it.
+    The quartic fields are None only for the point at infinity, whose
+    class is zero without any halving.
     """
 
     point: Point
-    nonzero: bool | None
+    nonzero: bool
     quartic: tuple[int, ...] | None
     quartic_roots: tuple[Fraction, ...] | None
     preimages: tuple[Point, ...] | None
     congruence: CongruenceEvidence | None
-
-    @property
-    def conclusive(self) -> bool:
-        return self.nonzero is not None
 
 
 def class_is_nonzero(
@@ -209,8 +198,8 @@ def class_is_nonzero(
     preimages = tuple(_halves_from_roots(curve, point, roots))
     congruence = _congruence_route(params, point) if params is not None else None
     nonzero = len(preimages) == 0
-    if congruence is not None:
-        assert nonzero, "congruence route and halving route disagree"
+    if congruence is not None and not nonzero:
+        raise InconsistentCertificate(f"congruence and halving routes disagree on {point}")
     return ClassVerdict(point, nonzero, quartic.coefficients, roots, preimages, congruence)
 
 
@@ -228,7 +217,7 @@ class ProbePoint:
     @property
     def independent(self) -> bool:
         return all(
-            v.nonzero is True
+            v.nonzero
             for v in (self.class_c, self.class_c_base, self.class_c_shifted, self.class_c_combined)
         )
 
@@ -272,7 +261,7 @@ def _derive_bound(
     [base] != 0, [shifted] != 0 and [base + shifted] != 0, the four classes
     {0, [base], [shifted], [base+shifted]} form a subgroup of order 4.
     """
-    all_nonzero = all(v.nonzero is True for v in (base, shifted, combined))
+    all_nonzero = all(v.nonzero for v in (base, shifted, combined))
     if torsion_trivial and all_nonzero:
         return True, 2
     if torsion_trivial:
@@ -354,40 +343,12 @@ def rank_ge3_probe(
         for cand in search_points(curve, height_bound, den_bound):
             if cand.x in known_x or cand.y == 0:
                 continue
-            combos = {
-                "c": cand,
-                "c_base": add(curve, cand, pts.base),
-                "c_shifted": add(curve, cand, pts.shifted),
-                "c_combined": add(curve, cand, pts.combined),
-            }
-            verdicts = {}
-            for label, pt in combos.items():
-                if pt.is_infinity:
-                    verdicts[label] = ClassVerdict(pt, False, None, None, (INFINITY,), None)
-                else:
-                    verdicts[label] = class_is_nonzero(curve, pt, params)
-            probes.append(
-                ProbePoint(
-                    cand,
-                    verdicts["c"],
-                    verdicts["c_base"],
-                    verdicts["c_shifted"],
-                    verdicts["c_combined"],
-                )
-            )
+            # C, C + base, C + shifted, C + combined: ProbePoint's field order
+            combos = (cand, *(add(curve, cand, pt) for pt in pts))
+            probes.append(ProbePoint(cand, *(class_is_nonzero(curve, pt, params) for pt in combos)))
     bound = cert.rank_lower_bound
     if bound >= 2 and any(p.independent for p in probes):
         bound = 3
-    return RankCertificate(
-        params=cert.params,
-        hypotheses_all_ok=cert.hypotheses_all_ok,
-        torsion=cert.torsion,
-        points=cert.points,
-        class_base=cert.class_base,
-        class_shifted=cert.class_shifted,
-        class_combined=cert.class_combined,
-        classes_distinct=cert.classes_distinct,
-        rank_lower_bound=bound,
-        probe_height=height_bound,
-        probe_points=tuple(probes),
+    return replace(
+        cert, rank_lower_bound=bound, probe_height=height_bound, probe_points=tuple(probes)
     )

@@ -41,3 +41,8 @@ class InfinityTarget(EcrankError):
 class FactorizationIncomplete(EcrankError):
     """The factoring budget ran out; callers must report 'inconclusive'
     rather than assert anything that depends on the missing factors."""
+
+
+class InconsistentCertificate(EcrankError):
+    """A self-check inside a certificate failed: two routes disagree or a
+    proven invariant does not hold, so no verdict may be issued."""

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import is_prime, two_adic_valuation
-from .curves import Curve, Point, add, is_on_curve, make_curve
-from .errors import NotPrime, PrimeIsTwo, PrimesNotDistinct
+from .curves import Curve, Point, add, is_on_curve
+from .errors import InconsistentCertificate, NotPrime, PrimeIsTwo, PrimesNotDistinct
 
 # Weakest two-adic exponent under which the congruence arguments all apply:
 # the hypothesis is m = 2 (mod 2^K).
@@ -83,9 +83,9 @@ def build_family_curve(params: FamilyParams) -> Curve:
     """Curve with b = -m^2 and c = (pqr)^2.
 
     Never singular for integer parameters (4 m^6 = 27 (pqr)^4 has no integer
-    solution), but make_curve re-checks rather than trusting that argument.
+    solution), but Curve re-checks rather than trusting that argument.
     """
-    return make_curve(-params.m * params.m, params.pqr * params.pqr)
+    return Curve(-params.m * params.m, params.pqr * params.pqr)
 
 
 class CanonicalPoints(NamedTuple):
@@ -106,5 +106,6 @@ def canonical_points(params: FamilyParams) -> CanonicalPoints:
     base = Point(0, params.pqr)
     shifted = Point(params.m, params.pqr)
     combined = add(curve, base, shifted)
-    assert is_on_curve(curve, combined)
+    if not is_on_curve(curve, combined):
+        raise InconsistentCertificate(f"{combined} is not on the curve")
     return CanonicalPoints(base, shifted, combined)

@@ -71,27 +71,35 @@ def derivative(coeffs) -> list[int]:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
+def _divmod(a, b) -> tuple[list, list]:
+    """Quotient and normalized remainder of polynomial long division over Q.
+
+    Coefficients may be int or Fraction; dividing by the leading
+    coefficient as a Fraction keeps every step exact.
+    """
+    rem = normalize(a)
+    den = normalize(b)
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead, n = Fraction(den[-1]), len(den)
+    quot = [0] * max(len(rem) - n + 1, 0)
+    for k in reversed(range(len(quot))):
+        f = rem[k + n - 1] / lead
+        if f:
+            quot[k] = f
+            for i, d in enumerate(den):
+                rem[k + i] -= f * d
+    return quot, normalize(rem)
+
+
 def divide_exact(a, b) -> list[int]:
     """Quotient of integer polynomials when the division is exact.
 
     Raises ValueError on a nonzero remainder or non-integer quotient; used
     where an algebraic identity guarantees divisibility.
     """
-    num = [Fraction(c) for c in normalize(a)]
-    den = [Fraction(c) for c in normalize(b)]
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not num:
-        return []
-    if len(num) < len(den):
-        raise ValueError("division is not exact")
-    quot = [Fraction(0)] * (len(num) - len(den) + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        f = num[k + len(den) - 1] / den[-1]
-        quot[k] = f
-        for i in range(len(den)):
-            num[k + i] -= f * den[i]
-    if any(num) or any(c.denominator != 1 for c in quot):
+    quot, rem = _divmod(a, b)
+    if rem or any(c.denominator != 1 for c in quot):
         raise ValueError("division is not exact")
     return [int(c) for c in quot]
 
@@ -115,22 +123,6 @@ def primitive_part(coeffs) -> list[int]:
     return cs
 
 
-def _frac_polymod(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    u = u[:]
-    while len(u) >= len(v):
-        if u[-1] == 0:
-            u.pop()
-            continue
-        f = u[-1] / v[-1]
-        off = len(u) - len(v)
-        for i in range(len(v)):
-            u[off + i] -= f * v[i]
-        u.pop()
-    while u and u[-1] == 0:
-        u.pop()
-    return u
-
-
 def squarefree_part(coeffs) -> list[int]:
     """Radical of an integer polynomial: same roots, all simple.
 
@@ -140,23 +132,13 @@ def squarefree_part(coeffs) -> list[int]:
     cs = normalize(coeffs)
     if len(cs) <= 2:
         return cs
-    a = [Fraction(c) for c in cs]
-    b = [Fraction(c) for c in derivative(cs)]
+    a, b = cs, derivative(cs)
     while b:
-        a, b = b, _frac_polymod(a, b)
+        a, b = b, _divmod(a, b)[1]
     if len(a) <= 1:
         return primitive_part(cs)
-    # exact long division P // gcd
-    p = [Fraction(c) for c in cs]
-    quot = [Fraction(0)] * (len(p) - len(a) + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        f = p[k + len(a) - 1] / a[-1]
-        quot[k] = f
-        for i in range(len(a)):
-            p[k + i] -= f * a[i]
-    denom = 1
-    for c in quot:
-        denom = lcm(denom, c.denominator)
+    quot, _ = _divmod(cs, a)
+    denom = lcm(*(c.denominator for c in quot))
     return primitive_part([int(c * denom) for c in quot])
 
 
@@ -223,20 +205,8 @@ def rational_roots(coeffs) -> list[Fraction]:
     cs = normalize(coeffs)
     if not cs:
         raise ValueError("the zero polynomial has every root")
-    roots: set[Fraction] = set()
-    k = 0
-    while cs[k] == 0:
-        k += 1
-    if k:
-        roots.add(Fraction(0))
-        cs = cs[k:]
-    if len(cs) == 1:
-        return sorted(roots)
     an = cs[-1]
     d = len(cs) - 1
     monic = [cs[i] * an ** (d - 1 - i) for i in range(d)] + [1]
-    for z in integer_roots(monic):
-        x = Fraction(z, an)
-        if evaluate(cs, x) == 0:
-            roots.add(x)
-    return sorted(roots)
+    roots = [Fraction(z, an) for z in integer_roots(monic)]
+    return sorted(x for x in roots if evaluate(cs, x) == 0)

@@ -298,13 +298,23 @@ def _sweep_worker(args) -> str:
     return record_to_line(record)
 
 
+def _drop_torn_line(path: str) -> None:
+    """Truncate a last line that a killed run left without its newline, so
+    that resuming recomputes that record instead of appending to it."""
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            fh.truncate(data.rfind(b"\n") + 1)
+
+
 def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
     """Execute a sweep, returning the jsonl lines in combo order.
 
     When spec.output_path is set, lines are appended as they complete
     (single writer); a partial file from an earlier run is detected by
-    line count and those combos are skipped.  Worker processes share
-    nothing; ordering is restored by the pool's ordered imap.
+    line count and those combos are skipped, after a torn last line is
+    cut off.  Worker processes share nothing; ordering is restored by the
+    pool's ordered imap.
     """
     combos = spec.combos()
     opts = {
@@ -317,6 +327,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
     existing: list[str] = []
     out_path = spec.output_path
     if out_path and os.path.exists(out_path):
+        _drop_torn_line(out_path)
         with open(out_path, "r", encoding="utf-8") as fh:
             existing = [ln.rstrip("\n") for ln in fh if ln.strip()]
         skip = len(existing)

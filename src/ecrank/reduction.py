@@ -12,7 +12,7 @@ from math import isqrt
 
 from .arith import is_prime, primes_from
 from .curves import Curve, discriminant
-from .errors import BadReduction, NotPrime
+from .errors import BadReduction, InconsistentCertificate, NotPrime
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def count_points(rc: ReducedCurve) -> int:
     """#E(F_ell) = 1 + sum over x of (1 + chi(x^3 + bx + c)).
 
     Uses a precomputed square table, O(ell) time.  The Hasse bound
-    |N - (ell + 1)| <= 2 sqrt(ell) is asserted on every count rather than
+    |N - (ell + 1)| <= 2 sqrt(ell) is checked on every count rather than
     assumed.
     """
     if not rc.is_good:
@@ -64,7 +64,8 @@ def count_points(rc: ReducedCurve) -> int:
         if v == 0:
             continue
         n += 1 if v in squares else -1
-    assert (n - (ell + 1)) ** 2 <= 4 * ell, f"Hasse bound violated at {ell}: {n}"
+    if (n - (ell + 1)) ** 2 > 4 * ell:
+        raise InconsistentCertificate(f"Hasse bound violated at {ell}: {n}")
     return n
 
 

@@ -23,7 +23,7 @@ from math import gcd
 from . import polys
 from .arith import divisors, factorize, square_divisor_root
 from .curves import INFINITY, Curve, Point, _add_raw, discriminant, scalar_mul
-from .errors import UnsupportedOrder
+from .errors import InconsistentCertificate, UnsupportedOrder
 from .family import FamilyParams
 from .reduction import count_points, good_odd_primes, reduce_curve
 
@@ -35,26 +35,15 @@ ADMISSIBLE_GROUP_ORDERS = frozenset({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16})
 SUPPORTED_ORDERS = (2, 3, 5, 7)
 
 
-def torsion_order_bound(
-    curve: Curve, num_primes: int, primes: list[int] | None = None
-) -> tuple[int, list[tuple[int, int]]]:
-    """gcd of #E(F_ell) over odd good primes, with per-prime evidence.
-
-    By default the first `num_primes` odd primes of good reduction are
-    used; an explicit prime list can be supplied instead (bad entries are
-    skipped).  The torsion order divides the returned gcd.
-    """
-    if primes is None:
-        if num_primes < 1:
-            raise ValueError("num_primes must be at least 1")
-        primes = good_odd_primes(curve, num_primes)
+def torsion_order_bound(curve: Curve, num_primes: int) -> tuple[int, list[tuple[int, int]]]:
+    """gcd of #E(F_ell) over the first `num_primes` odd primes of good
+    reduction, with per-prime evidence.  The torsion order divides it."""
+    if num_primes < 1:
+        raise ValueError("num_primes must be at least 1")
     bound = 0
     evidence = []
-    for ell in primes:
-        rc = reduce_curve(curve, ell)
-        if not rc.is_good or ell == 2:
-            continue
-        n = count_points(rc)
+    for ell in good_odd_primes(curve, num_primes):
+        n = count_points(reduce_curve(curve, ell))
         evidence.append((ell, n))
         bound = gcd(bound, n)
     return bound, evidence
@@ -65,83 +54,38 @@ def torsion_order_bound(
 # ---------------------------------------------------------------------------
 
 
-def _psi(curve: Curve, n: int) -> tuple[list[int], int]:
-    """Standard division polynomial via the double-index recursion.
-
-    Returns (g, e) with psi_n = g(x) * y^e, e in {0, 1}: every even power
-    of y is replaced by f = x^3 + bx + c, so g has integer coefficients.
-    Indices are computed lazily; only what the requested n needs is built.
-    """
-    b, c = curve.b, curve.c
-    f = [c, b, 0, 1]
-    table: dict[int, tuple[list[int], int]] = {
-        0: ([], 0),
-        1: ([1], 0),
-        2: ([2], 1),
-        3: ([-b * b, 12 * c, 6 * b, 0, 3], 0),
-        4: (polys.scale([-(b**3) - 8 * c * c, -4 * b * c, -5 * b * b, 20 * c, 5 * b, 0, 1], 4), 1),
-    }
-
-    def reduce_y(g: list[int], e: int) -> tuple[list[int], int]:
-        while e >= 2:
-            g, e = polys.mul(g, f), e - 2
-        return g, e
-
-    def psi(k: int) -> tuple[list[int], int]:
-        if k in table:
-            return table[k]
-        m, odd = divmod(k, 2)
-        if odd:
-            # psi_{2m+1} = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3
-            a, ea = psi(m + 2)
-            bm, em = psi(m)
-            cm, ec = psi(m - 1)
-            dm, ed = psi(m + 1)
-            t1, e1 = reduce_y(polys.mul(a, polys.mul(bm, polys.mul(bm, bm))), ea + 3 * em)
-            t2, e2 = reduce_y(polys.mul(cm, polys.mul(dm, polys.mul(dm, dm))), ec + 3 * ed)
-            assert e1 == e2 == 0, "odd-index psi must be y-free"
-            out = polys.normalize(polys.add(t1, polys.scale(t2, -1))), 0
-        else:
-            # psi_{2m} = (psi_m / 2y) (psi_{m+2} psi_{m-1}^2 - psi_{m-2} psi_{m+1}^2)
-            g, eg = psi(m)
-            a, ea = psi(m + 2)
-            cm, ec = psi(m - 1)
-            dm, ed = psi(m - 2)
-            em_, ee = psi(m + 1)
-            t1, e1 = reduce_y(polys.mul(a, polys.mul(cm, cm)), ea + 2 * ec)
-            t2, e2 = reduce_y(polys.mul(dm, polys.mul(em_, em_)), ed + 2 * ee)
-            assert e1 == e2, "mismatched y-parity inside even-index recursion"
-            prod = polys.mul(g, polys.add(t1, polys.scale(t2, -1)))
-            assert all(co % 2 == 0 for co in prod)
-            half = [co // 2 for co in prod]
-            total_e = eg + e1 - 1  # the /(2y) removes one power of y
-            if total_e == -1:
-                # y^-1 = y / f: the product is divisible by f exactly
-                half, total_e = polys.divide_exact(half, f), 1
-            assert total_e == 1, "even-index psi must carry a single power of y"
-            out = polys.normalize(half), 1
-        table[k] = out
-        return out
-
-    return psi(n)
-
-
 def division_polynomial(curve: Curve, n: int) -> list[int]:
     """Integer polynomial in x whose roots are the x-coordinates of the
     nontrivial n-torsion.
 
-    n = 2 returns x^3 + bx + c (2-torsion is exactly y = 0); n in {3, 5, 7}
-    returns psi_n from the standard recursion.  Other orders are out of
-    scope: combined with the reduction bound they are never needed to pin
-    down a rational torsion group.
+    n = 2 returns f = x^3 + bx + c (2-torsion is exactly y = 0); n in
+    {3, 5, 7} returns psi_n in closed form.  With psi_4 = 4y g4 and every
+    y^2 replaced by f, the recursion psi_{2k+1} = psi_{k+2} psi_k^3 -
+    psi_{k-1} psi_{k+1}^3 gives
+
+        psi_5 = 32 g4 f^2 - psi_3^3
+        psi_7 = psi_5 psi_3^3 - 128 g4^3 f^2
+
+    Other orders are out of scope: combined with the reduction bound they
+    are never needed to pin down a rational torsion group.
     """
     if n not in SUPPORTED_ORDERS:
         raise UnsupportedOrder(f"order {n} not supported (expected one of {SUPPORTED_ORDERS})")
+    b, c = curve.b, curve.c
+    f = [c, b, 0, 1]
     if n == 2:
-        return [curve.c, curve.b, 0, 1]
-    g, e = _psi(curve, n)
-    assert e == 0 and polys.degree(g) == (n * n - 1) // 2
-    return g
+        return f
+    psi3 = [-b * b, 12 * c, 6 * b, 0, 3]
+    if n == 3:
+        return psi3
+    g4 = [-(b**3) - 8 * c * c, -4 * b * c, -5 * b * b, 20 * c, 5 * b, 0, 1]
+    f2 = polys.mul(f, f)
+    psi3_cubed = polys.mul(psi3, polys.mul(psi3, psi3))
+    psi5 = polys.add(polys.scale(polys.mul(g4, f2), 32), polys.scale(psi3_cubed, -1))
+    if n == 5:
+        return psi5
+    g4_cubed = polys.mul(g4, polys.mul(g4, g4))
+    return polys.add(polys.mul(psi5, psi3_cubed), polys.scale(polys.mul(g4_cubed, f2), -128))
 
 
 @dataclass(frozen=True)
@@ -214,7 +158,8 @@ def congruence_obstruction(params: FamilyParams, n: int) -> ObstructionVerdict:
         if m % 3 == 0:
             return ObstructionVerdict(3, HYPOTHESIS_NOT_MET, f"m = {m} is divisible by 3")
         quartic = [-(m**4), 12 * d * d, -6 * m * m, 0, 3]
-        assert all(polys.evaluate(quartic, x) % 3 != 0 for x in range(3))
+        if any(polys.evaluate(quartic, x) % 3 == 0 for x in range(3)):
+            raise InconsistentCertificate("3-torsion quartic vanishes mod 3")
         return ObstructionVerdict(
             3, OBSTRUCTED, "3-torsion quartic is = -m^4 != 0 (mod 3) for every x"
         )
@@ -223,7 +168,8 @@ def congruence_obstruction(params: FamilyParams, n: int) -> ObstructionVerdict:
             return ObstructionVerdict(5, HYPOTHESIS_NOT_MET, f"m = {m} is not 2 (mod 4)")
         even_branch = m % 4 != 0  # even x would force m = 0 (mod 4)
         odd_branch = (1 + m * m) ** 8 % 4 != 0  # odd x forces this to vanish
-        assert even_branch and odd_branch
+        if not (even_branch and odd_branch):
+            raise InconsistentCertificate("a parity branch of the mod-4 reduction stays open")
         return ObstructionVerdict(
             5, OBSTRUCTED, "both parity branches of the mod-4 reduction close"
         )
@@ -235,7 +181,8 @@ def congruence_obstruction(params: FamilyParams, n: int) -> ObstructionVerdict:
             4 * (3 - m * m) ** 2 * (1 + m * m) ** 6 + (1 + m * m) ** 8
         )
         odd_branch = odd_value % 8 != 0
-        assert even_branch and odd_branch
+        if not (even_branch and odd_branch):
+            raise InconsistentCertificate("a parity branch of the mod-8 reduction stays open")
         return ObstructionVerdict(
             7, OBSTRUCTED, "both parity branches of the mod-8 reduction close"
         )
@@ -272,6 +219,13 @@ def _point_order(curve: Curve, p: Point) -> int | None:
     return None
 
 
+def two_torsion_points(curve: Curve) -> list[Point]:
+    """Rational points of order dividing 2 (excluding O): integer roots of
+    the cubic with y = 0.  Rational 2-torsion abscissas are integral
+    because the cubic is monic."""
+    return [Point(x, 0) for x in polys.integer_roots([curve.c, curve.b, 0, 1])]
+
+
 def integral_torsion_candidates(curve: Curve) -> list[Point]:
     """Nagell-Lutz candidate set: integral points with y = 0 or y^2 | Delta.
 
@@ -279,9 +233,7 @@ def integral_torsion_candidates(curve: Curve) -> list[Point]:
     complete search space; the converse fails (a candidate can have
     infinite order) and is settled by the order test.
     """
-    candidates: set[Point] = set()
-    for x in polys.integer_roots([curve.c, curve.b, 0, 1]):
-        candidates.add(Point(x, 0))
+    candidates = set(two_torsion_points(curve))
     y_max = square_divisor_root(factorize(discriminant(curve)))
     for y in divisors(factorize(y_max)):
         for x in polys.integer_roots([curve.c - y * y, curve.b, 0, 1]):
@@ -290,18 +242,23 @@ def integral_torsion_candidates(curve: Curve) -> list[Point]:
     return sorted(candidates, key=str)
 
 
+def _torsion_among(curve: Curve, candidates) -> list[tuple[Point, int]]:
+    """O and every candidate of finite order, with its order."""
+    found = [(INFINITY, 1)]
+    for pt in candidates:
+        order = _point_order(curve, pt)
+        if order is not None:
+            found.append((pt, order))
+    return found
+
+
 def torsion_points(curve: Curve) -> list[tuple[Point, int]]:
     """All rational torsion points with their orders, via Nagell-Lutz.
 
     Order-testing each candidate up to the Mazur cap recovers the full
     group; no multiple beyond 12 is ever computed.
     """
-    found = [(INFINITY, 1)]
-    for pt in integral_torsion_candidates(curve):
-        order = _point_order(curve, pt)
-        if order is not None and order > 1:
-            found.append((pt, order))
-    return found
+    return _torsion_among(curve, integral_torsion_candidates(curve))
 
 
 def _group_structure(
@@ -319,7 +276,8 @@ def _group_structure(
     max_pt, max_order = max(points, key=lambda po: (po[1], str(po[0])))
     if max_order == size:
         return f"Z/{size}", (max_pt,)
-    assert size == 2 * max_order and max_order % 2 == 0, "impossible rational torsion shape"
+    if size != 2 * max_order or max_order % 2:
+        raise InconsistentCertificate(f"impossible rational torsion shape: {size} points")
     inside = scalar_mul(curve, max_order // 2, max_pt)  # the one 2-torsion in <max_pt>
     extra = min(
         (pt for pt, o in points if o == 2 and pt != inside),
@@ -338,21 +296,22 @@ def nagell_lutz_torsion(
     congruence-obstruction verdicts."""
     bound, evidence = torsion_order_bound(curve, num_primes)
     candidates = integral_torsion_candidates(curve)
-    points = [(INFINITY, 1)]
-    for pt in candidates:
-        pt_order = _point_order(curve, pt)
-        if pt_order is not None and pt_order > 1:
-            points.append((pt, pt_order))
+    points = _torsion_among(curve, candidates)
     order = len(points)
-    assert order in ADMISSIBLE_GROUP_ORDERS, f"inadmissible torsion order {order}"
-    assert bound % order == 0, "torsion order must divide the reduction bound"
+    if order not in ADMISSIBLE_GROUP_ORDERS:
+        raise InconsistentCertificate(f"inadmissible torsion order {order}")
+    if bound % order:
+        raise InconsistentCertificate(
+            f"torsion order {order} does not divide the reduction bound {bound}"
+        )
     structure, generators = _group_structure(curve, points)
     obstructions: tuple[ObstructionVerdict, ...] = ()
     if params is not None:
         obstructions = tuple(congruence_obstruction(params, n) for n in SUPPORTED_ORDERS)
+        found_orders = {o for _, o in points}
         for verdict in obstructions:
-            if verdict.obstructed:
-                assert all(o != verdict.order for _, o in points[1:]), (
+            if verdict.obstructed and verdict.order in found_orders:
+                raise InconsistentCertificate(
                     f"order-{verdict.order} point found despite congruence obstruction"
                 )
     return TorsionReport(

@@ -12,7 +12,6 @@ from ecrank.curves import (
     double,
     double_via_duplication,
     is_on_curve,
-    make_curve,
     negate,
     scalar_mul,
 )
@@ -24,12 +23,12 @@ B = Point(2, 231)
 
 
 def test_make_curve_and_singular():
-    assert discriminant(make_curve(-1, 0)) == 64
+    assert discriminant(Curve(-1, 0)) == 64
     with pytest.raises(SingularCurve):
-        make_curve(0, 0)
+        Curve(0, 0)
     with pytest.raises(SingularCurve):
-        make_curve(-3, 2)  # (x-1)^2 (x+2)
-    make_curve(-4, 53361)  # the worked family curve constructs fine
+        Curve(-3, 2)  # (x-1)^2 (x+2)
+    Curve(-4, 53361)  # the worked family curve constructs fine
 
 
 def test_discriminant_values():

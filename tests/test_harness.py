@@ -238,3 +238,36 @@ def test_cli_sweep_progression_syntax(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     ms = [json.loads(l)["params"]["m"] for l in lines]
     assert ms == ["2", "34"]
+
+
+def test_recheck_cli_survives_unreadable_line(tmp_path, capsys):
+    line = record_to_line(_fast_record())
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(f"{line}\n{{not json\n".encode() + b"\xc3(\n" + f"{line}\n".encode())
+    assert main(["recheck", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("record 0: ok (")
+    assert out[1] == "record 1: MISMATCH (unreadable: JSONDecodeError)"
+    assert out[2] == "record 2: MISMATCH (unreadable: UnicodeDecodeError)"
+    assert out[3].startswith("record 3: ok (")
+    assert out[4] == "recheck: false"
+
+
+def test_sweep_resume_after_torn_line(tmp_path):
+    """A sweep killed mid-line resumes to the file an uninterrupted run
+    writes: the torn record is dropped and recomputed, not appended to."""
+    options = dict(
+        m_values=(2,), prime_pool=(3, 5, 7, 11), probe=False, height_bound=0, num_reduction_primes=3
+    )
+    full, torn = tmp_path / "full.jsonl", tmp_path / "torn.jsonl"
+    run_sweep(SweepSpec(**options, output_path=str(full)))
+    lines = full.read_text().splitlines(keepends=True)
+    assert len(lines) == 4
+    torn.write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+    resumed = run_sweep(SweepSpec(**options, output_path=str(torn)))
+    assert len(resumed) == 2
+
+    def comparable(path):
+        return [canonical_comparable(json.loads(ln)) for ln in path.read_text().splitlines()]
+
+    assert comparable(torn) == comparable(full)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ecrank import polys
@@ -22,10 +27,92 @@ M2_CURVE = build_family_curve(M2_PARAMS)
 FIVE_TORSION_CURVE = Curve(-13392, -1080432)
 SEVEN_TORSION_CURVE = Curve(-43, 166)
 
-
-def test_torsion_order_bound_explicit_primes():
-    bound, used = torsion_order_bound(Curve(-1, 0), 2, primes=[5, 7])
-    assert bound == 8 and used == [(5, 8), (7, 8)]
+# Full psi_5 / psi_7 coefficients (ascending degree), frozen from the
+# double-index recursion so that the closed forms cannot drop a term.
+M2_PSI5 = [
+    -2075562441232682100992,
+    388966181251253760,
+    -10934001821440,
+    -243103863862601280,
+    21868003713280,
+    -594228096,
+    -683375097840,
+    -51226560,
+    -1680,
+    20277180,
+    -248,
+    0,
+    5,
+]
+M2_PSI7 = [
+    4307959435352195736004917445021774292516864,
+    -1130253035400728628280117630670759657472,
+    201221938519036540065557282900738048,
+    -988971435250157910188641077494968762368,
+    280651653031130740359293308779724800,
+    -25602800927961230477658524418048,
+    -64867597670309233743313119345827840,
+    12333575159348366624724098482176,
+    -917066509185119991724371968,
+    -672941800849387954745680985088,
+    106816744906237575567353856,
+    -6329880036209943392256,
+    -7525989378845284108593664,
+    1296035318270026414080,
+    -28034780717210624,
+    -126063939677637798144,
+    6513384906512512,
+    -79032336768,
+    -122141911315088,
+    23905728,
+    -47264,
+    210455784,
+    -1232,
+    0,
+    7,
+]
+SEVEN_PSI5 = [
+    -117959283223,
+    69132529320,
+    -4877828410,
+    -6263020640,
+    1847673235,
+    -213626064,
+    17238660,
+    -1713120,
+    -194145,
+    63080,
+    -2666,
+    0,
+    5,
+]
+SEVEN_PSI7 = [
+    10620688173299950374255,
+    -13964469389597669168464,
+    11282639934025993155252,
+    -6857231190911499575072,
+    2779419609011903433254,
+    -637608193592665428560,
+    39103307959433635316,
+    20500163896533534848,
+    -6372210528708983399,
+    712814722925909856,
+    6633709871081384,
+    -7181234840645824,
+    -760587321169676,
+    327599980428000,
+    -19259731880888,
+    -3375467957120,
+    557167929745,
+    -28412266512,
+    396330788,
+    799456,
+    -5461946,
+    654704,
+    -13244,
+    0,
+    7,
+]
 
 
 def test_torsion_order_bound_default_selection():
@@ -54,6 +141,9 @@ def test_division_polynomial_small_orders():
     psi7 = division_polynomial(M2_CURVE, 7)
     assert polys.degree(psi5) == 12 and psi5[-1] == 5
     assert polys.degree(psi7) == 24 and psi7[-1] == 7
+    assert psi5 == M2_PSI5 and psi7 == M2_PSI7
+    assert division_polynomial(SEVEN_TORSION_CURVE, 5) == SEVEN_PSI5
+    assert division_polynomial(SEVEN_TORSION_CURVE, 7) == SEVEN_PSI7
     with pytest.raises(UnsupportedOrder):
         division_polynomial(M2_CURVE, 4)
     with pytest.raises(UnsupportedOrder):
@@ -217,3 +307,29 @@ def test_torsion_trivial_on_full_parameter_grid():
             assert rep.torsion_order == 1, (m, trip)
             count += 1
     assert count == 50
+
+
+def test_certificate_self_check_survives_optimize_flag():
+    """A torsion order that does not divide the reduction bound raises
+    InconsistentCertificate even under python -O, which strips asserts."""
+    code = """
+from ecrank import torsion
+from ecrank.curves import Curve
+from ecrank.errors import InconsistentCertificate
+
+if __debug__:
+    raise SystemExit("not running under -O")
+torsion.torsion_order_bound = lambda curve, num_primes: (7, [])
+try:
+    torsion.nagell_lutz_torsion(Curve(-1, 0))  # torsion Z/2 x Z/2, order 4
+except InconsistentCertificate as exc:
+    print(type(exc).__name__)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "InconsistentCertificate"
