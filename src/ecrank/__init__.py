@@ -44,6 +44,7 @@ from .errors import (
     PrimeIsTwo,
     PrimesNotDistinct,
     SingularCurve,
+    SweepResumeMismatch,
     UnsupportedOrder,
 )
 from .family import (
@@ -54,7 +55,7 @@ from .family import (
     canonical_points,
     validate_hypotheses,
 )
-from .records import SweepSpec, build_curve_record, recheck_record, run_sweep
+from .records import SweepSpec, build_curve_record, recheck_diff, recheck_record, run_sweep
 from .reduction import (
     ReducedCurve,
     count_points,

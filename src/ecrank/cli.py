@@ -19,7 +19,7 @@ from .records import (
     SweepSpec,
     build_curve_record,
     params_from_record,
-    recheck_record,
+    recheck_diff,
     record_to_csv_row,
     record_to_line,
     run_sweep,
@@ -194,10 +194,12 @@ def cmd_recheck(args) -> int:
                 all_ok = False
                 print(f"record {i}: MISMATCH (unreadable: {type(exc).__name__})")
                 continue
-            ok = recheck_record(record)
-            all_ok = all_ok and ok
-            label = params_from_record(record) if ok else "RECORD TAMPERED OR STALE"
-            print(f"record {i}: {'ok' if ok else 'MISMATCH'} ({label})")
+            cause = recheck_diff(record)
+            all_ok = all_ok and cause is None
+            if cause is None:
+                print(f"record {i}: ok ({params_from_record(record)})")
+            else:
+                print(f"record {i}: MISMATCH ({cause})")
     print("recheck:", "true" if all_ok else "false")
     return EXIT_OK if all_ok else EXIT_FAILED
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, isqrt
 
 from . import polys
 from .arith import rational_sqrt
@@ -293,29 +294,60 @@ def rank_ge2_certificate(params: FamilyParams, num_primes: int = 5) -> RankCerti
     )
 
 
-def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[Point]:
-    """Rational points with x = u/v^2, |u| <= height_bound * v^2, v <= den_bound.
+# Sieve moduli for search_points: 16 and the odd primes up to 47.  A perfect
+# square is a square modulo each of them, so a numerator whose value is a
+# non-residue modulo any one of them cannot give a point.
+_SIEVE_MODULI = (16, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_SQUARES_MOD = {n: frozenset(r * r % n for r in range(n)) for n in _SIEVE_MODULI}
+_SIEVE_BLOCK = 1 << 16  # numerators per sieve block: 64 KB at any height bound
 
-    Exhaustive exact-square search; v = 1 is the integral sweep.  Points
-    are returned with positive y (the negative is redundant for class
-    arithmetic since [P] = [-P]).
+
+def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[Point]:
+    """Rational points with x = u/w^2, |u| <= height_bound * w^2, w <= den_bound.
+
+    Exhaustive exact-square search; w = 1 is the integral sweep.  Points
+    are returned with nonnegative y (the negative is redundant for class
+    arithmetic since [P] = [-P]), sorted by x.
+
+    The x-coordinate of a rational point has a square denominator, so every
+    x in the box is u/w^2 in lowest terms for exactly one w <= den_bound and
+    one u with |u| <= height_bound * w^2 and gcd(u, w) = 1; scanning those
+    pairs visits each x once.  Clearing denominators, rhs(u/w^2) =
+    F(u)/w^6 with F(u) = u^3 + b w^4 u + c w^6, and F(u) = u^3 (mod w) is
+    prime to w, so rhs(x) is a rational square exactly when F(u) is a
+    perfect square, and then y = isqrt(F(u))/w^3.
+
+    Before isqrt, a ratpoints-style sieve (M. Stoll) strikes out every u
+    whose F(u) is a non-residue modulo 16 or a small odd prime, one block of
+    numerators at a time.  The sieve only filters: every survivor is
+    confirmed by isqrt, so the result does not depend on the moduli.
     """
     found: list[Point] = []
-    seen_x = set()
-    for v in range(1, den_bound + 1):
-        vv = v * v
-        for u in range(-height_bound * vv, height_bound * vv + 1):
-            x = Fraction(u, vv)
-            if x in seen_x:
-                continue
-            fy = curve.rhs(x)
-            if fy < 0:
-                continue
-            y = rational_sqrt(fy)
-            if y is None:
-                continue
-            seen_x.add(x)
-            found.append(Point(x, y))
+    for w in range(1, den_bound + 1):
+        w2 = w * w
+        bw4, cw6 = curve.b * w2 * w2, curve.c * w2 * w2 * w2
+        struck = [
+            (n, [r for r in range(n) if (r * r * r + bw4 * r + cw6) % n not in _SQUARES_MOD[n]])
+            for n in _SIEVE_MODULI
+        ]
+        hi = height_bound * w2
+        for start in range(-hi, hi + 1, _SIEVE_BLOCK):
+            size = min(_SIEVE_BLOCK, hi + 1 - start)
+            alive = bytearray(b"\x01") * size
+            for n, residues in struck:
+                for r in residues:
+                    off = (r - start) % n
+                    if off < size:
+                        alive[off::n] = bytes((size - 1 - off) // n + 1)
+            i = alive.find(1)
+            while i >= 0:
+                u = start + i
+                f = u * u * u + bw4 * u + cw6
+                if f >= 0 and gcd(u, w) == 1:
+                    s = isqrt(f)
+                    if s * s == f:
+                        found.append(Point(Fraction(u, w2), Fraction(s, w2 * w)))
+                i = alive.find(1, i + 1)
     return sorted(found, key=lambda p: (p.x, p.y))
 
 

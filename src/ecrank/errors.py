@@ -46,3 +46,8 @@ class FactorizationIncomplete(EcrankError):
 class InconsistentCertificate(EcrankError):
     """A self-check inside a certificate failed: two routes disagree or a
     proven invariant does not hold, so no verdict may be issued."""
+
+
+class SweepResumeMismatch(EcrankError):
+    """A sweep output file holds records that the sweep being resumed would
+    not write: other parameters, other options, or another format."""

@@ -8,7 +8,8 @@ rank bound) stay plain JSON numbers.  Identical inputs produce
 byte-identical lines except for the "timings" field, which recheck
 ignores.  Sweeps stream records in lexicographic (m, p, q, r) order,
 optionally through a process pool, and can resume an interrupted run by
-counting the records already on disk.
+counting the records already on disk, after checking that the same spec
+wrote them.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from .arith import is_prime
 from .curves import Point, discriminant
@@ -30,7 +31,7 @@ from .descent import (
     rank_ge2_certificate,
     rank_ge3_probe,
 )
-from .errors import NotPrime, PrimeIsTwo
+from .errors import NotPrime, PrimeIsTwo, SweepResumeMismatch
 from .family import FamilyParams, build_family_curve, validate_hypotheses
 from .torsion import TorsionReport
 
@@ -263,9 +264,38 @@ def params_from_record(record: dict) -> FamilyParams:
     return FamilyParams(int(p["m"]), int(p["p"]), int(p["q"]), int(p["r"]))
 
 
-def recheck_record(record: dict) -> bool:
-    """Re-derive every verdict from the raw parameters and options; True
-    iff the recomputation reproduces the record exactly (timings aside)."""
+def _first_difference(stored, fresh, path: str) -> str | None:
+    """JSON path of the first place where stored and fresh differ, in
+    serialization order; None when they serialize identically."""
+    if type(stored) is not type(fresh):
+        return path
+    if isinstance(stored, dict):
+        for key, fresh_key in zip_longest(stored, fresh):  # keys are strings, never None
+            name = key if key is not None else fresh_key
+            sub = f"{path}.{name}" if path else name
+            if key != fresh_key:
+                return sub
+            found = _first_difference(stored[key], fresh[key], sub)
+            if found is not None:
+                return found
+        return None
+    if isinstance(stored, list):
+        for i, (a, b) in enumerate(zip(stored, fresh)):
+            found = _first_difference(a, b, f"{path}[{i}]")
+            if found is not None:
+                return found
+        return None if len(stored) == len(fresh) else f"{path}[{min(len(stored), len(fresh))}]"
+    return None if stored == fresh else path
+
+
+def recheck_diff(record: dict) -> str | None:
+    """Re-derive every verdict from the raw parameters and options.
+
+    None when the recomputation reproduces the record exactly (timings
+    aside); otherwise the cause: the JSON path of the first field that
+    differs, such as "torsion.reduction_counts[2][1]", or
+    "exception: <Class>" when the record cannot be rebuilt at all.
+    """
     try:
         params = params_from_record(record)
         opts = record["options"]
@@ -276,9 +306,19 @@ def recheck_record(record: dict) -> bool:
             height_bound=int(opts["height_bound"]),
             den_bound=int(opts["den_bound"]),
         )
-    except Exception:
-        return False
-    return canonical_comparable(fresh) == canonical_comparable(record)
+    except Exception as exc:  # a malformed record is a failed recheck, never a crash
+        return f"exception: {type(exc).__name__}"
+    if canonical_comparable(fresh) == canonical_comparable(record):
+        return None
+    stored = {k: v for k, v in record.items() if k != "timings"}
+    fresh = {k: v for k, v in fresh.items() if k != "timings"}
+    return _first_difference(stored, fresh, "") or "record"
+
+
+def recheck_record(record: dict) -> bool:
+    """True iff the recomputation reproduces the record exactly (timings
+    aside); see recheck_diff for the cause of a mismatch."""
+    return recheck_diff(record) is None
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +347,45 @@ def _drop_torn_line(path: str) -> None:
             fh.truncate(data.rfind(b"\n") + 1)
 
 
+def _check_resumable(spec: SweepSpec, combos, opts: dict, existing: list[str]) -> None:
+    """Refuse to resume into a file that another sweep wrote: its i-th
+    record must be that of combos[i] under these options.  A csv row
+    carries only m, p, q, r, so csv files are checked on those alone."""
+    path, rows = spec.output_path, existing
+    if spec.output_format == "csv" and existing:
+        if existing[0] != CSV_HEADER:
+            raise SweepResumeMismatch(f"{path}: first line is not the csv header")
+        rows = existing[1:]
+    if len(rows) > len(combos):
+        raise SweepResumeMismatch(f"{path} holds {len(rows)} records, the sweep has {len(combos)}")
+    for i, (line, combo) in enumerate(zip(rows, combos)):
+        wanted = [str(v) for v in combo], opts
+        if spec.output_format == "csv":
+            found = line.split(",")[:4], opts
+        else:
+            try:
+                record = json.loads(line)
+                found = [record["params"][k] for k in "mpqr"], record["options"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise SweepResumeMismatch(
+                    f"{path}: record {i} is unreadable ({type(exc).__name__})"
+                ) from exc
+        if found != wanted:
+            raise SweepResumeMismatch(
+                f"{path}: record {i} has params {found[0]} and options {found[1]}; "
+                f"this sweep writes params {wanted[0]} with options {wanted[1]}"
+            )
+
+
 def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
     """Execute a sweep, returning the jsonl lines in combo order.
 
     When spec.output_path is set, lines are appended as they complete
     (single writer); a partial file from an earlier run is detected by
     line count and those combos are skipped, after a torn last line is
-    cut off.  Worker processes share nothing; ordering is restored by the
-    pool's ordered imap.
+    cut off.  A file whose records another spec wrote raises
+    SweepResumeMismatch before anything is appended.  Worker processes
+    share nothing; ordering is restored by the pool's ordered imap.
     """
     combos = spec.combos()
     opts = {
@@ -330,6 +401,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
         _drop_torn_line(out_path)
         with open(out_path, "r", encoding="utf-8") as fh:
             existing = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        _check_resumable(spec, combos, opts, existing)
         skip = len(existing)
         if spec.output_format == "csv" and skip:
             skip -= 1  # header line

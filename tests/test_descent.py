@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from ecrank.curves import INFINITY, Curve, Point, add, double, negate, scalar_mul
+from ecrank.arith import rational_sqrt
+from ecrank.curves import INFINITY, Curve, Point, add, double, is_on_curve, negate, scalar_mul
 from ecrank.descent import (
     ClassVerdict,
     _derive_bound,
@@ -172,6 +174,67 @@ def test_search_points_finds_canonical_x():
     pts = search_points(M2_CURVE, 500)
     xs = {p.x for p in pts}
     assert {Fraction(-2), Fraction(0), Fraction(2)} <= xs
+
+
+def _fraction_scans(curve, height_bound, den_bound):
+    """The search as it was first written, kept as the oracle for the
+    sieved search: every x = u/v^2 in the box in Fraction arithmetic.  Its
+    scan for a bound D is the first D rounds of the scan for a larger one,
+    so one pass returns the result for each D = 1..den_bound."""
+    found, seen_x, results = [], set(), []
+    for v in range(1, den_bound + 1):
+        vv = v * v
+        for u in range(-height_bound * vv, height_bound * vv + 1):
+            x = Fraction(u, vv)
+            if x in seen_x:
+                continue
+            fy = curve.rhs(x)
+            if fy < 0:
+                continue
+            y = rational_sqrt(fy)
+            if y is None:
+                continue
+            seen_x.add(x)
+            found.append(Point(x, y))
+        results.append(sorted(found, key=lambda p: (p.x, p.y)))
+    return results
+
+
+def test_search_points_matches_fraction_scan():
+    """Family members, small random curves, y = 0 points (Curve(-1, 0)),
+    negative x and x with denominator 4 or 9 (Curve(-12, -10): -7/4, 55/9;
+    Curve(-11, -6): -11/9)."""
+    rng = random.Random(2024)
+    curves = [Curve(-1, 0), Curve(-12, -10), Curve(-11, -6), Curve(-12, 0)]
+    curves += [
+        build_family_curve(FamilyParams(m, *trip))
+        for m, trip in ((2, (3, 7, 11)), (34, (3, 5, 7)), (2, (3, 5, 13)), (6, (5, 7, 11)))
+    ]
+    while len(curves) < 12:
+        b, c = rng.randint(-30, 30), rng.randint(-30, 30)
+        if 4 * b**3 + 27 * c**2 != 0:
+            curves.append(Curve(b, c))
+    denominators = set()
+    for curve in curves:
+        for height in (0, 1, 30, 200):
+            for den, expected in enumerate(_fraction_scans(curve, height, 4), start=1):
+                found = search_points(curve, height, den)
+                assert found == expected, (curve, height, den)
+                denominators.update(p.x.denominator for p in found)
+    assert {1, 4, 9} <= denominators
+
+
+def test_search_points_finds_planted_large_point():
+    """A point with x near 10^5, far beyond reach of the Fraction scan,
+    planted by choosing c = y0^2 - x0^3 - b x0."""
+    rng = random.Random(7)
+    for _ in range(3):
+        x0, b = rng.randint(90_000, 110_000), rng.randint(-50, 50)
+        y0 = isqrt(x0**3 + b * x0) + rng.randint(1, 1000)
+        curve = Curve(b, y0 * y0 - x0**3 - b * x0)
+        found = search_points(curve, 200_000)
+        assert Point(x0, y0) in found
+        assert all(p.y >= 0 and is_on_curve(curve, p) for p in found)
 
 
 def test_probe_height_zero_is_noop():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ecrank.cli import main
+from ecrank.errors import SweepResumeMismatch
 from ecrank.family import FamilyParams
 from ecrank.records import (
     CSV_HEADER,
@@ -11,6 +12,7 @@ from ecrank.records import (
     canonical_comparable,
     record_to_csv_row,
     record_to_line,
+    recheck_diff,
     recheck_record,
     run_sweep,
 )
@@ -271,3 +273,71 @@ def test_sweep_resume_after_torn_line(tmp_path):
         return [canonical_comparable(json.loads(ln)) for ln in path.read_text().splitlines()]
 
     assert comparable(torn) == comparable(full)
+
+
+def test_sweep_resume_refuses_other_spec(tmp_path, capsys):
+    """A sweep cut to 2 lines at --reduction-primes 3 and resumed at 5 is
+    refused before anything is appended, from the API and from the CLI."""
+    options = dict(m_values=(2,), prime_pool=(3, 5, 7, 11), probe=False, height_bound=0)
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(SweepSpec(**options, num_reduction_primes=3, output_path=str(out)))
+    cut = "".join(out.read_text().splitlines(keepends=True)[:2])
+    out.write_text(cut)
+    with pytest.raises(SweepResumeMismatch, match="record 0"):
+        run_sweep(SweepSpec(**options, num_reduction_primes=5, output_path=str(out)))
+    with pytest.raises(SweepResumeMismatch, match="record 1"):
+        run_sweep(SweepSpec(**dict(options, prime_pool=(3, 5, 7, 13)),
+                            num_reduction_primes=3, output_path=str(out)))
+    assert out.read_text() == cut
+    argv = ["sweep", "--m-list", "2", "--prime-pool", "3,5,7,11", "--no-probe",
+            "--height-bound", "0", "--out", str(out)]
+    assert main(argv + ["--reduction-primes", "5"]) == 2
+    assert "record 0" in capsys.readouterr().err
+    assert out.read_text() == cut
+    assert main(argv + ["--reduction-primes", "3"]) == 0
+    assert len(out.read_text().splitlines()) == 4
+
+
+def test_sweep_resume_refuses_other_csv_rows(tmp_path):
+    """A csv row carries only m, p, q, r: those are checked, and so is the header."""
+    spec = dict(m_values=(2,), probe=False, height_bound=0, num_reduction_primes=3,
+                output_format="csv")
+    out = tmp_path / "sweep.csv"
+    run_sweep(SweepSpec(**spec, prime_pool=(3, 5, 7, 11), output_path=str(out)))
+    out.write_text("".join(out.read_text().splitlines(keepends=True)[:3]))
+    with pytest.raises(SweepResumeMismatch, match="record 0"):
+        run_sweep(SweepSpec(**spec, prime_pool=(5, 7, 11, 13), output_path=str(out)))
+    assert len(run_sweep(SweepSpec(**spec, prime_pool=(3, 5, 7, 11), output_path=str(out)))) == 2
+    out.write_text("m,p,q\n")
+    with pytest.raises(SweepResumeMismatch, match="header"):
+        run_sweep(SweepSpec(**spec, prime_pool=(3, 5, 7, 11), output_path=str(out)))
+
+
+def test_recheck_diff_names_the_cause():
+    rec = _fast_record()
+    assert recheck_diff(rec) is None
+    assert recheck_diff({}) == "exception: KeyError"
+    tampered = json.loads(record_to_line(rec))
+    counts = tampered["torsion"]["reduction_counts"]
+    counts[2][1] = str(int(counts[2][1]) + 1)
+    assert recheck_diff(tampered) == "torsion.reduction_counts[2][1]"
+    assert not recheck_record(tampered)
+    tampered = json.loads(record_to_line(rec))
+    del tampered["rank"]["classes"]["combined"]
+    assert recheck_diff(tampered) == "rank.classes.combined"
+    tampered = json.loads(record_to_line(rec))
+    tampered["rank"]["classes"]["base"]["quartic"].pop()
+    assert recheck_diff(tampered) == "rank.classes.base.quartic[4]"
+
+
+def test_cli_recheck_prints_cause(tmp_path, capsys):
+    rec = json.loads(record_to_line(_fast_record()))
+    rec["rank"]["classes"]["shifted"]["nonzero"] = False
+    path = tmp_path / "records.jsonl"
+    path.write_text(record_to_line(rec) + "\n{}\n")
+    assert main(["recheck", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "record 0: MISMATCH (rank.classes.shifted.nonzero)",
+        "record 1: MISMATCH (exception: KeyError)",
+        "recheck: false",
+    ]
