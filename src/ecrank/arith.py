@@ -151,14 +151,6 @@ def divisors(factors: dict[int, int]) -> list[int]:
     return sorted(out)
 
 
-def square_divisor_root(factors: dict[int, int]) -> int:
-    """Largest y such that y^2 divides the factored number."""
-    y = 1
-    for p, e in factors.items():
-        y *= p ** (e // 2)
-    return y
-
-
 def exact_sqrt(n: int) -> int | None:
     """Integer square root of n when n is a perfect square, else None."""
     if n < 0:

@@ -2,17 +2,20 @@
 
 Coefficient lists are little-endian: coeffs[i] is the coefficient of x^i.
 
-Integer roots are found by a factorization-free method: reduce the
-squarefree part modulo a prime where all its roots are simple, Hensel-lift
-every root past twice the Cauchy root bound, and verify candidates exactly.
-This stays fast even when the constant term is a hundred-digit number with
-no small factors, which defeats divisor-enumeration approaches.  Rational
-roots reduce to the integer case through the monic transform z = lead * x.
+Everything runs in integer arithmetic.  Integer roots are found by a
+factorization-free method: take the squarefree part P / gcd(P, P'), with the
+gcd from a primitive PRS over Z; find its roots modulo the smallest prime
+from 3 up where they are all simple; Hensel-lift each past twice the Cauchy
+root bound; and verify candidates exactly.  This stays fast even when the
+constant term is a hundred-digit number with no small factors, which
+defeats divisor-enumeration approaches.  Rational roots reduce to the
+integer case through the monic transform z = lead * x.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import islice
+from math import gcd
 
 from .arith import primes_from, small_primes
 
@@ -71,37 +74,31 @@ def derivative(coeffs) -> list[int]:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def _divmod(a, b) -> tuple[list, list]:
-    """Quotient and normalized remainder of polynomial long division over Q.
+def divide_exact(a, b) -> list[int]:
+    """Quotient of integer polynomials when the division is exact.
 
-    Coefficients may be int or Fraction; dividing by the leading
-    coefficient as a Fraction keeps every step exact.
+    Long division over Z: each step divides the top coefficient by lead(b).
+    Raises ValueError on a nonzero remainder or a non-integer quotient.  By
+    Gauss's lemma a primitive divisor of an integer polynomial always
+    divides it over Z.
     """
     rem = normalize(a)
     den = normalize(b)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    lead, n = Fraction(den[-1]), len(den)
+    lead, n = den[-1], len(den)
     quot = [0] * max(len(rem) - n + 1, 0)
     for k in reversed(range(len(quot))):
-        f = rem[k + n - 1] / lead
+        f, r = divmod(rem[k + n - 1], lead)
+        if r:
+            raise ValueError("division is not exact")
         if f:
             quot[k] = f
             for i, d in enumerate(den):
                 rem[k + i] -= f * d
-    return quot, normalize(rem)
-
-
-def divide_exact(a, b) -> list[int]:
-    """Quotient of integer polynomials when the division is exact.
-
-    Raises ValueError on a nonzero remainder or non-integer quotient; used
-    where an algebraic identity guarantees divisibility.
-    """
-    quot, rem = _divmod(a, b)
-    if rem or any(c.denominator != 1 for c in quot):
+    if any(rem):
         raise ValueError("division is not exact")
-    return [int(c) for c in quot]
+    return quot
 
 
 def content(coeffs) -> int:
@@ -123,23 +120,55 @@ def primitive_part(coeffs) -> list[int]:
     return cs
 
 
+def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of a pseudo-remainder of a by b (b normalized, nonzero).
+
+    Each elimination step scales the running remainder by lead(b)/g and
+    subtracts (top/g) * x^k * b, with g = gcd(lead(b), top), so the result
+    is a nonzero integer multiple of the remainder over Q.
+    """
+    rem = list(a)
+    lead, n = b[-1], len(b)
+    while len(rem) >= n:
+        top = rem.pop()
+        if top:
+            g = gcd(lead, top)
+            s, t = lead // g, top // g
+            k = len(rem) - n + 1
+            if s != 1:
+                rem = [s * c for c in rem]
+            for i in range(n - 1):
+                rem[k + i] -= t * b[i]
+    return primitive_part(rem)
+
+
 def squarefree_part(coeffs) -> list[int]:
     """Radical of an integer polynomial: same roots, all simple.
 
-    Computed as P / gcd(P, P') with exact rational arithmetic; degrees here
-    never exceed a few dozen, so coefficient growth is harmless.
+    P / gcd(P, P') in integer arithmetic.  The gcd comes from a primitive
+    PRS over Z: pseudo-remainder, then primitive part, at each step, which
+    gives the smallest coefficients of any PRS.  The gcd is primitive, so
+    by Gauss's lemma it divides P exactly over Z.
     """
     cs = normalize(coeffs)
     if len(cs) <= 2:
         return cs
-    a, b = cs, derivative(cs)
+    a, b = primitive_part(cs), primitive_part(derivative(cs))
     while b:
-        a, b = b, _divmod(a, b)[1]
+        a, b = b, _primitive_prem(a, b)
     if len(a) <= 1:
         return primitive_part(cs)
-    quot, _ = _divmod(cs, a)
-    denom = lcm(*(c.denominator for c in quot))
-    return primitive_part([int(c * denom) for c in quot])
+    return primitive_part(divide_exact(cs, a))
+
+
+def _roots_mod(coeffs, p: int) -> list[int]:
+    """Residues r in [0, p) with coeffs(r) = 0 (mod p): one Horner pass
+    over all residues at once, on coefficients reduced mod p."""
+    reduced = [c % p for c in coeffs]
+    values = [reduced[-1]] * p
+    for c in reversed(reduced[:-1]):
+        values = [(v * r + c) % p for r, v in enumerate(values)]
+    return [r for r, v in enumerate(values) if v == 0]
 
 
 def integer_roots(coeffs) -> list[int]:
@@ -167,15 +196,13 @@ def integer_roots(coeffs) -> list[int]:
     bound = 2 + max(abs(c) for c in sf[:-1]) // lead  # Cauchy bound, rounded up
 
     def candidate_primes():
-        for p in small_primes():
-            if p > 100:
-                yield p
+        yield from islice(small_primes(), 1, None)  # from 3
         yield from primes_from(1 << 16)
 
     for p in candidate_primes():
         if lead % p == 0:
             continue
-        residues = [r for r in range(p) if evaluate_mod(sf, r, p) == 0]
+        residues = _roots_mod(sf, p)
         if any(evaluate_mod(dsf, r, p) == 0 for r in residues):
             continue  # repeated root mod p; disc(sf) kills only finitely many p
         if not residues:

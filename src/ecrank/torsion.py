@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import polys
-from .arith import divisors, factorize, square_divisor_root
+from .arith import divisors, factorize
 from .curves import INFINITY, Curve, Point, _add_raw, discriminant, scalar_mul
 from .errors import InconsistentCertificate, UnsupportedOrder
 from .family import FamilyParams
@@ -234,8 +234,9 @@ def integral_torsion_candidates(curve: Curve) -> list[Point]:
     infinite order) and is settled by the order test.
     """
     candidates = set(two_torsion_points(curve))
-    y_max = square_divisor_root(factorize(discriminant(curve)))
-    for y in divisors(factorize(y_max)):
+    # y^2 | Delta exactly when y divides the product of p^(e // 2) over p^e || Delta
+    halved = {p: e // 2 for p, e in factorize(discriminant(curve)).items() if e > 1}
+    for y in divisors(halved):
         for x in polys.integer_roots([curve.c - y * y, curve.b, 0, 1]):
             candidates.add(Point(x, y))
             candidates.add(Point(x, -y))

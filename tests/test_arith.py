@@ -9,7 +9,6 @@ from ecrank.arith import (
     is_prime,
     primes_from,
     rational_sqrt,
-    square_divisor_root,
     two_adic_valuation,
 )
 from ecrank.errors import FactorizationIncomplete
@@ -80,12 +79,6 @@ def test_divisors_matches_bruteforce():
     for n in (1, 2, 12, 36, 53361, 97):
         ds = divisors(factorize(n))
         assert ds == [d for d in range(1, n + 1) if n % d == 0]
-
-
-def test_square_divisor_root():
-    assert square_divisor_root(factorize(64)) == 8
-    assert square_divisor_root(factorize(432)) == 12  # 2^4 * 27 -> 4 * 3
-    assert square_divisor_root(factorize(7)) == 1
 
 
 def test_exact_and_rational_sqrt():

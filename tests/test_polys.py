@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from ecrank import polys
+from ecrank.arith import primes_from
 
 
 def test_evaluate_and_basics():
@@ -85,3 +87,114 @@ def test_rational_roots():
     assert polys.rational_roots(p) == [Fraction(-2, 3), Fraction(1, 2)]
     assert polys.rational_roots([-1, 0, 0, 0, 2]) == []  # 2x^4 - 1
     assert polys.rational_roots([0, 0, 5, 5]) == [Fraction(-1), Fraction(0)]
+
+
+# -- oracle: Euclid over Q with Fraction, one residue at a time from p = 101 --
+
+
+def _fraction_divmod(a, b):
+    rem, den = polys.normalize(a), polys.normalize(b)
+    lead, n = Fraction(den[-1]), len(den)
+    quot = [0] * max(len(rem) - n + 1, 0)
+    for k in reversed(range(len(quot))):
+        f = rem[k + n - 1] / lead
+        if f:
+            quot[k] = f
+            for i, d in enumerate(den):
+                rem[k + i] -= f * d
+    return quot, polys.normalize(rem)
+
+
+def _oracle_squarefree_part(coeffs):
+    cs = polys.normalize(coeffs)
+    if len(cs) <= 2:
+        return cs
+    a, b = cs, polys.derivative(cs)
+    while b:
+        a, b = b, _fraction_divmod(a, b)[1]
+    if len(a) <= 1:
+        return polys.primitive_part(cs)
+    quot, _ = _fraction_divmod(cs, a)
+    denom = math.lcm(*(c.denominator for c in quot))
+    return polys.primitive_part([int(c * denom) for c in quot])
+
+
+def _oracle_integer_roots(coeffs):
+    cs = polys.normalize(coeffs)
+    roots = {0} if cs[0] == 0 else set()
+    while cs[0] == 0:
+        cs = cs[1:]
+    if len(cs) == 1:
+        return sorted(roots)
+    sf = _oracle_squarefree_part(cs)
+    dsf = polys.derivative(sf)
+    bound = 2 + max(abs(c) for c in sf[:-1]) // abs(sf[-1])
+    for p in primes_from(101):
+        if sf[-1] % p == 0:
+            continue
+        residues = [r for r in range(p) if polys.evaluate_mod(sf, r, p) == 0]
+        if any(polys.evaluate_mod(dsf, r, p) == 0 for r in residues):
+            continue
+        modulus = p
+        while modulus <= 2 * bound:
+            modulus *= modulus
+            residues = [
+                (r - polys.evaluate_mod(sf, r, modulus) * pow(polys.evaluate_mod(dsf, r, modulus), -1, modulus))
+                % modulus
+                for r in residues
+            ]
+        for r in residues:
+            x = r if r <= modulus // 2 else r - modulus
+            if polys.evaluate(cs, x) == 0:
+                roots.add(x)
+        return sorted(roots)
+
+
+def _oracle_rational_roots(coeffs):
+    cs = polys.normalize(coeffs)
+    an, d = cs[-1], len(cs) - 1
+    monic = [cs[i] * an ** (d - 1 - i) for i in range(d)] + [1]
+    roots = [Fraction(z, an) for z in _oracle_integer_roots(monic)]
+    return sorted(x for x in roots if polys.evaluate(cs, x) == 0)
+
+
+LEAD_ALL_PRIMES_BELOW_50 = math.prod(p for p in range(2, 50) if all(p % q for q in range(2, p)))
+
+
+def _differential_cases(rng):
+    def coeff():
+        digits = rng.randint(1, 30)
+        return rng.randint(-(10**digits), 10**digits)
+
+    def planted(roots, mult):
+        p = [rng.choice([-1, 1]) * rng.randint(1, 10**6)]
+        for r in roots:
+            for _ in range(mult):
+                p = polys.mul(p, [-r, 1])
+        return p
+
+    for _ in range(120):
+        deg = rng.randint(1, 8)
+        p = [coeff() for _ in range(deg)] + [coeff() or 1]
+        yield p
+        yield p[:-1] + [LEAD_ALL_PRIMES_BELOW_50 * rng.choice([-1, 1, 7])]
+    for _ in range(60):
+        roots = [rng.randint(-(10**12), 10**12) for _ in range(rng.randint(1, 3))]
+        cofactor = [coeff() for _ in range(rng.randint(1, 3))] + [rng.randint(1, 99)]
+        yield polys.mul(planted(roots, 1), cofactor)  # simple roots
+        yield polys.mul(planted(roots, 2), cofactor)  # double roots
+        yield polys.mul(planted(roots, rng.randint(1, 2)), [rng.choice([-1, 1]), LEAD_ALL_PRIMES_BELOW_50])
+    for _ in range(40):
+        # (x - a)^2 + 105 t: a double root mod 3, 5 and 7, no real root at all
+        a, t = rng.randint(-(10**9), 10**9), rng.randint(1, 10**9)
+        quad = [a * a + 105 * t, -2 * a, 1]
+        yield quad
+        yield polys.mul(quad, planted([rng.randint(-999, 999)], rng.randint(1, 2)))
+
+
+def test_roots_match_fraction_euclid():
+    rng = random.Random(4)
+    for p in _differential_cases(rng):
+        assert polys.squarefree_part(p) == _oracle_squarefree_part(p), p
+        assert polys.integer_roots(p) == _oracle_integer_roots(p), p
+        assert polys.rational_roots(p) == _oracle_rational_roots(p), p

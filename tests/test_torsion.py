@@ -183,6 +183,14 @@ def test_division_poly_root_verdicts_on_family_curve():
     assert verdict.has_integer_root and verdict.roots == (-1, 0, 1)
 
 
+def test_division_polynomial_roots_large_member():
+    # 7-digit primes: psi_7 has degree 24 and coefficients of up to 293 digits
+    curve = build_family_curve(FamilyParams(2 + 32 * 10**6, 1000003, 1000033, 1000037))
+    for n in (3, 5, 7):
+        verdict = division_poly_has_integer_root(curve, n)
+        assert verdict.roots == () and verdict.certifies_no_point, n
+
+
 def test_congruence_obstructions():
     assert congruence_obstruction(M2_PARAMS, 2).status == OBSTRUCTED
     assert congruence_obstruction(M2_PARAMS, 3).status == OBSTRUCTED
