@@ -52,7 +52,8 @@ print(f"  rank lower bound: {cert.rank_lower_bound}")
 print()
 
 print("probing another family member for a third independent generator:")
-cert3 = rank_ge3_probe(FamilyParams(34, 3, 5, 7), height_bound=50, den_bound=1)
+cert34 = rank_ge2_certificate(FamilyParams(34, 3, 5, 7))
+cert3 = rank_ge3_probe(cert34, height_bound=50, den_bound=1)
 print(f"  (m, p, q, r) = (34, 3, 5, 7), integral search up to |x| <= 50")
 for probe in cert3.probe_points:
     print(f"  candidate {probe.point}: independent of the canonical pair: {probe.independent}")

@@ -24,7 +24,6 @@ from .curves import (
 )
 from .descent import (
     ClassVerdict,
-    HalvingQuartic,
     RankCertificate,
     class_is_nonzero,
     halving_preimages,
@@ -72,7 +71,6 @@ from .torsion import (
     integral_torsion_candidates,
     nagell_lutz_torsion,
     torsion_order_bound,
-    torsion_points,
     two_torsion_points,
 )
 

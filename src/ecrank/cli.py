@@ -17,6 +17,7 @@ from .family import FamilyParams, build_family_curve
 from .records import (
     CSV_HEADER,
     SweepSpec,
+    _torsion_obj,
     build_curve_record,
     params_from_record,
     recheck_diff,
@@ -44,6 +45,11 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _params_from_args(args) -> FamilyParams:
     return FamilyParams(args.m, args.p, args.q, args.r)
+
+
+def _certified(record: dict) -> bool:
+    """The exit-0 condition of verify and sweep: trivial torsion and rank >= 2."""
+    return record["rank"]["rank_lower_bound"] >= 2 and record["rank"]["torsion_trivial"]
 
 
 def _print_verify_summary(record: dict) -> None:
@@ -93,8 +99,7 @@ def cmd_verify(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(record_to_line(record) + "\n")
-    ok = record["rank"]["rank_lower_bound"] >= 2 and record["rank"]["torsion_trivial"]
-    return EXIT_OK if ok else EXIT_FAILED
+    return EXIT_OK if _certified(record) else EXIT_FAILED
 
 
 def cmd_sweep(args) -> int:
@@ -120,8 +125,7 @@ def cmd_sweep(args) -> int:
         print(CSV_HEADER)
     for line in lines:
         rec = json.loads(line)
-        ok = rec["rank"]["rank_lower_bound"] >= 2 and rec["rank"]["torsion_trivial"]
-        all_ok = all_ok and ok
+        all_ok = all_ok and _certified(rec)
         if args.json:
             print(line)
         elif not args.out:
@@ -169,8 +173,6 @@ def cmd_torsion(args) -> int:
         curve = build_family_curve(params)
         report = nagell_lutz_torsion(curve, params, args.reduction_primes)
     if args.json:
-        from .records import _torsion_obj  # stable serialization shared with records
-
         print(json.dumps(_torsion_obj(report), separators=(",", ":")))
     else:
         print(f"torsion order: {report.torsion_order} ({report.structure})")
@@ -222,12 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reduction-primes", type=int, default=5, dest="reduction_primes")
         p.add_argument("--json", action="store_true", help="machine-readable stdout")
 
+    def add_probe_flags(p):
+        p.add_argument("--height-bound", type=int, default=10_000, dest="height_bound")
+        p.add_argument("--den-bound", type=int, default=2, dest="den_bound")
+        p.add_argument("--no-probe", action="store_true", help="skip the third-generator search")
+
     ver = sub.add_parser("verify", help="full pipeline on one parameter set")
     add_param_flags(ver)
     add_common(ver)
-    ver.add_argument("--height-bound", type=int, default=10_000, dest="height_bound")
-    ver.add_argument("--den-bound", type=int, default=2, dest="den_bound")
-    ver.add_argument("--no-probe", action="store_true", help="skip the third-generator search")
+    add_probe_flags(ver)
     ver.add_argument("--out", help="write the jsonl record here")
     ver.set_defaults(fn=cmd_verify)
 
@@ -235,9 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--m-list", required=True, dest="m_list", help='"2,34,66" or "2:32:5"')
     sw.add_argument("--prime-pool", required=True, dest="prime_pool", help='"3,5,7,11"')
     add_common(sw)
-    sw.add_argument("--height-bound", type=int, default=10_000, dest="height_bound")
-    sw.add_argument("--den-bound", type=int, default=2, dest="den_bound")
-    sw.add_argument("--no-probe", action="store_true")
+    add_probe_flags(sw)
     sw.add_argument("--require-hypotheses", action="store_true", dest="require_hypotheses")
     sw.add_argument("--out", help="output file (appended; enables resume)")
     sw.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")

@@ -33,17 +33,9 @@ from .torsion import TorsionReport, nagell_lutz_torsion
 from .torsion import two_torsion_points  # noqa: F401  re-exported
 
 
-@dataclass(frozen=True)
-class HalvingQuartic:
-    """Primitive integer quartic whose roots are the x-coordinates of the
-    half-points of source_point."""
-
-    coefficients: tuple[int, int, int, int, int]  # ascending degree
-    source_point: Point
-
-
-def halving_quartic(curve: Curve, target: Point) -> HalvingQuartic:
-    """Quartic in x with roots exactly the x(R) for 2R = target.
+def halving_quartic(curve: Curve, target: Point) -> tuple[int, int, int, int, int]:
+    """Primitive integer quartic in x, in ascending degree, whose roots are
+    exactly the x(R) for 2R = target.
 
     Setting x(2R) = t in the duplication formula and clearing denominators
     gives, for t = tn/td in lowest terms,
@@ -66,35 +58,35 @@ def halving_quartic(curve: Curve, target: Point) -> HalvingQuartic:
         -4 * tn,
         td,
     ]
-    prim = polys.primitive_part(raw)
-    return HalvingQuartic(tuple(prim), target)  # type: ignore[arg-type]
+    return tuple(polys.primitive_part(raw))  # type: ignore[return-value]
 
 
-def _halves_from_roots(curve: Curve, target: Point, roots) -> list[Point]:
-    """Lift quartic roots to points and keep the honest halves."""
-    found = []
-    for x in roots:
-        y = rational_sqrt(curve.rhs(x))
-        if y is None:
-            continue
-        for cand in (Point(x, y), Point(x, -y)):
-            if _add_raw(curve, cand, cand) == target and cand not in found:
-                found.append(cand)
-    return sorted(found, key=lambda p: (p.x, p.y))
-
-
-def halving_preimages(curve: Curve, target: Point) -> list[Point]:
-    """All rational R with 2R = target, in deterministic order.
+def _halve(curve: Curve, target: Point):
+    """(quartic, its rational roots, the halves of target).
 
     Every half of the target (including translates of one half by rational
     2-torsion) has its x-coordinate among the quartic's roots, so rational
     root extraction is complete; each root is lifted to y by an exact
     square test and kept only when double(R) reproduces the target
-    exactly.  Empty result means target is not in 2E(Q).
+    exactly.
     """
     quartic = halving_quartic(curve, target)
-    roots = polys.rational_roots(list(quartic.coefficients))
-    return _halves_from_roots(curve, target, roots)
+    roots = tuple(polys.rational_roots(list(quartic)))
+    halves: list[Point] = []
+    for x in roots:
+        y = rational_sqrt(curve.rhs(x))
+        if y is None:
+            continue
+        for cand in (Point(x, y), Point(x, -y)):
+            if _add_raw(curve, cand, cand) == target and cand not in halves:
+                halves.append(cand)
+    return quartic, roots, sorted(halves, key=lambda p: (p.x, p.y))
+
+
+def halving_preimages(curve: Curve, target: Point) -> list[Point]:
+    """All rational R with 2R = target, in deterministic order.  Empty
+    result means target is not in 2E(Q)."""
+    return _halve(curve, target)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -192,35 +184,26 @@ def class_is_nonzero(
     congruence replay recorded too whenever it applies."""
     if point.is_infinity:
         return ClassVerdict(point, False, None, None, (INFINITY,), None)
-    if not is_on_curve(curve, point):
-        raise PointNotOnCurve(f"{point} is not on the curve")
-    quartic = halving_quartic(curve, point)
-    roots = tuple(polys.rational_roots(list(quartic.coefficients)))
-    preimages = tuple(_halves_from_roots(curve, point, roots))
+    quartic, roots, halves = _halve(curve, point)
     congruence = _congruence_route(params, point) if params is not None else None
-    nonzero = len(preimages) == 0
+    nonzero = not halves
     if congruence is not None and not nonzero:
         raise InconsistentCertificate(f"congruence and halving routes disagree on {point}")
-    return ClassVerdict(point, nonzero, quartic.coefficients, roots, preimages, congruence)
+    return ClassVerdict(point, nonzero, quartic, roots, tuple(halves), congruence)
 
 
 @dataclass(frozen=True)
 class ProbePoint:
-    """A candidate third generator with the four class checks that certify
-    independence from the canonical pair."""
+    """A candidate third generator C with the four class checks that certify
+    independence from the canonical pair: the classes of C, C + base,
+    C + shifted and C + combined, in that order."""
 
     point: Point
-    class_c: ClassVerdict
-    class_c_base: ClassVerdict
-    class_c_shifted: ClassVerdict
-    class_c_combined: ClassVerdict
+    classes: tuple[ClassVerdict, ClassVerdict, ClassVerdict, ClassVerdict]
 
     @property
     def independent(self) -> bool:
-        return all(
-            v.nonzero
-            for v in (self.class_c, self.class_c_base, self.class_c_shifted, self.class_c_combined)
-        )
+        return all(v.nonzero for v in self.classes)
 
 
 @dataclass(frozen=True)
@@ -240,7 +223,6 @@ class RankCertificate:
     class_base: ClassVerdict
     class_shifted: ClassVerdict
     class_combined: ClassVerdict
-    classes_distinct: bool
     rank_lower_bound: int
     probe_height: int | None = None
     probe_points: tuple[ProbePoint, ...] = ()
@@ -249,27 +231,31 @@ class RankCertificate:
     def torsion_trivial(self) -> bool:
         return self.torsion.is_trivial
 
+    @property
+    def classes_distinct(self) -> bool:
+        """The canonical classes span a subgroup of order 4."""
+        return self.rank_lower_bound >= 2
+
 
 def _derive_bound(
     torsion_trivial: bool,
     base: ClassVerdict,
     shifted: ClassVerdict,
     combined: ClassVerdict,
-) -> tuple[bool, int]:
-    """(classes_distinct, rank bound) from the three class verdicts.
+) -> int:
+    """Rank bound from the torsion verdict and the three class verdicts.
 
     Distinctness follows from nonzeroness of the pairwise sums: with
     [base] != 0, [shifted] != 0 and [base + shifted] != 0, the four classes
     {0, [base], [shifted], [base+shifted]} form a subgroup of order 4.
     """
-    all_nonzero = all(v.nonzero for v in (base, shifted, combined))
-    if torsion_trivial and all_nonzero:
-        return True, 2
-    if torsion_trivial:
-        # the shifted point is rational and not O; trivial torsion forces
-        # infinite order, hence rank >= 1
-        return False, 1
-    return False, 0
+    if not torsion_trivial:
+        return 0
+    if all(v.nonzero for v in (base, shifted, combined)):
+        return 2
+    # the shifted point is rational and not O; trivial torsion forces
+    # infinite order, hence rank >= 1
+    return 1
 
 
 def rank_ge2_certificate(params: FamilyParams, num_primes: int = 5) -> RankCertificate:
@@ -280,7 +266,6 @@ def rank_ge2_certificate(params: FamilyParams, num_primes: int = 5) -> RankCerti
     base = class_is_nonzero(curve, pts.base, params)
     shifted = class_is_nonzero(curve, pts.shifted, params)
     combined = class_is_nonzero(curve, pts.combined, params)
-    distinct, bound = _derive_bound(torsion.is_trivial, base, shifted, combined)
     return RankCertificate(
         params=params,
         hypotheses_all_ok=validate_hypotheses(params).all_ok,
@@ -289,8 +274,7 @@ def rank_ge2_certificate(params: FamilyParams, num_primes: int = 5) -> RankCerti
         class_base=base,
         class_shifted=shifted,
         class_combined=combined,
-        classes_distinct=distinct,
-        rank_lower_bound=bound,
+        rank_lower_bound=_derive_bound(torsion.is_trivial, base, shifted, combined),
     )
 
 
@@ -351,14 +335,9 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
     return sorted(found, key=lambda p: (p.x, p.y))
 
 
-def rank_ge3_probe(
-    params: FamilyParams,
-    height_bound: int,
-    num_primes: int = 5,
-    den_bound: int = 2,
-    base_certificate: RankCertificate | None = None,
-) -> RankCertificate:
-    """Search for a third independent generator below a height bound.
+def rank_ge3_probe(cert: RankCertificate, height_bound: int, den_bound: int = 2) -> RankCertificate:
+    """Extend a rank certificate by a search for a third independent
+    generator below a height bound.
 
     For each discovered point C outside the span-obvious set, independence
     of {[base], [shifted], [C]} is certified by all four classes [C],
@@ -366,18 +345,18 @@ def rank_ge3_probe(
     with the order-4 subgroup from the rank-2 certificate that exhibits a
     subgroup of order 8 in E(Q)/2E(Q), hence rank >= 3.
     """
-    cert = base_certificate or rank_ge2_certificate(params, num_primes)
+    params, pts = cert.params, cert.points
     curve = build_family_curve(params)
-    pts = cert.points
     known_x = {pts.base.x, pts.shifted.x, pts.combined.x}
     probes: list[ProbePoint] = []
     if height_bound >= 1:
         for cand in search_points(curve, height_bound, den_bound):
             if cand.x in known_x or cand.y == 0:
                 continue
-            # C, C + base, C + shifted, C + combined: ProbePoint's field order
+            # C, C + base, C + shifted, C + combined: the order of ProbePoint.classes
             combos = (cand, *(add(curve, cand, pt) for pt in pts))
-            probes.append(ProbePoint(cand, *(class_is_nonzero(curve, pt, params) for pt in combos)))
+            classes = tuple(class_is_nonzero(curve, pt, params) for pt in combos)
+            probes.append(ProbePoint(cand, classes))
     bound = cert.rank_lower_bound
     if bound >= 2 and any(p.independent for p in probes):
         bound = 3

@@ -199,9 +199,9 @@ def integer_roots(coeffs) -> list[int]:
         yield from islice(small_primes(), 1, None)  # from 3
         yield from primes_from(1 << 16)
 
+    # A prime dividing lead serves too: sf is primitive, so it stays nonzero
+    # mod p, and a simple root mod p lifts uniquely whatever lead is.
     for p in candidate_primes():
-        if lead % p == 0:
-            continue
         residues = _roots_mod(sf, p)
         if any(evaluate_mod(dsf, r, p) == 0 for r in residues):
             continue  # repeated root mod p; disc(sf) kills only finitely many p

@@ -39,6 +39,9 @@ SCHEMA_VERSION = 1
 
 CSV_HEADER = "m,p,q,r,discriminant,torsion_order,rank_lower_bound,probe_independent"
 
+# Record labels of ProbePoint.classes, in its order.
+_PROBE_CLASS_LABELS = ("c", "c_base", "c_shifted", "c_combined")
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -131,24 +134,11 @@ def _probe_point_obj(pp: ProbePoint):
     return {
         "point": _point_obj(pp.point),
         "independent": pp.independent,
-        "classes": {
-            "c": _class_obj(pp.class_c),
-            "c_base": _class_obj(pp.class_c_base),
-            "c_shifted": _class_obj(pp.class_c_shifted),
-            "c_combined": _class_obj(pp.class_c_combined),
-        },
+        "classes": {label: _class_obj(v) for label, v in zip(_PROBE_CLASS_LABELS, pp.classes)},
     }
 
 
-def certificate_to_record(
-    cert: RankCertificate,
-    *,
-    reduction_primes: int,
-    probe: bool,
-    height_bound: int,
-    den_bound: int,
-    timings: dict[str, float] | None = None,
-) -> dict:
+def certificate_to_record(cert: RankCertificate, options: dict, timings: dict[str, float]) -> dict:
     params = cert.params
     curve = build_family_curve(params)
     hyp = validate_hypotheses(params)
@@ -160,12 +150,7 @@ def certificate_to_record(
             "q": str(params.q),
             "r": str(params.r),
         },
-        "options": {
-            "reduction_primes": reduction_primes,
-            "probe": probe,
-            "height_bound": height_bound,
-            "den_bound": den_bound,
-        },
+        "options": options,
         "curve": {"b": str(curve.b), "c": str(curve.c)},
         "discriminant": str(discriminant(curve)),
         "hypotheses": {
@@ -195,7 +180,7 @@ def certificate_to_record(
             "independent_found": any(p.independent for p in cert.probe_points),
             "points": [_probe_point_obj(p) for p in cert.probe_points],
         },
-        "timings": timings or {},
+        "timings": timings,
     }
     return record
 
@@ -209,27 +194,24 @@ def build_curve_record(
     den_bound: int = 2,
 ) -> dict:
     """Run the full pipeline on one parameter set and package the result."""
+    options = {
+        "reduction_primes": reduction_primes,
+        "probe": probe,
+        "height_bound": height_bound,
+        "den_bound": den_bound,
+    }
     t0 = time.perf_counter()
     cert = rank_ge2_certificate(params, reduction_primes)
     t1 = time.perf_counter()
     if probe:
-        cert = rank_ge3_probe(
-            params, height_bound, reduction_primes, den_bound, base_certificate=cert
-        )
+        cert = rank_ge3_probe(cert, height_bound, den_bound)
     t2 = time.perf_counter()
     timings = {
         "rank_certificate_s": round(t1 - t0, 6),
         "probe_s": round(t2 - t1, 6),
         "total_s": round(t2 - t0, 6),
     }
-    return certificate_to_record(
-        cert,
-        reduction_primes=reduction_primes,
-        probe=probe,
-        height_bound=height_bound,
-        den_bound=den_bound,
-        timings=timings,
-    )
+    return certificate_to_record(cert, options, timings)
 
 
 def record_to_line(record: dict) -> str:
@@ -327,15 +309,8 @@ def recheck_record(record: dict) -> bool:
 
 
 def _sweep_worker(args) -> str:
-    (m, p, q, r), opts = args
-    record = build_curve_record(
-        FamilyParams(m, p, q, r),
-        reduction_primes=opts["reduction_primes"],
-        probe=opts["probe"],
-        height_bound=opts["height_bound"],
-        den_bound=opts["den_bound"],
-    )
-    return record_to_line(record)
+    combo, opts = args
+    return record_to_line(build_curve_record(FamilyParams(*combo), **opts))
 
 
 def _drop_torn_line(path: str) -> None:

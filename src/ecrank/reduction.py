@@ -64,7 +64,8 @@ def count_points(rc: ReducedCurve) -> int:
         if v == 0:
             continue
         n += 1 if v in squares else -1
-    if (n - (ell + 1)) ** 2 > 4 * ell:
+    lo, hi = hasse_interval(ell)
+    if not lo <= n <= hi:
         raise InconsistentCertificate(f"Hasse bound violated at {ell}: {n}")
     return n
 

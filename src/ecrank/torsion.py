@@ -243,25 +243,6 @@ def integral_torsion_candidates(curve: Curve) -> list[Point]:
     return sorted(candidates, key=str)
 
 
-def _torsion_among(curve: Curve, candidates) -> list[tuple[Point, int]]:
-    """O and every candidate of finite order, with its order."""
-    found = [(INFINITY, 1)]
-    for pt in candidates:
-        order = _point_order(curve, pt)
-        if order is not None:
-            found.append((pt, order))
-    return found
-
-
-def torsion_points(curve: Curve) -> list[tuple[Point, int]]:
-    """All rational torsion points with their orders, via Nagell-Lutz.
-
-    Order-testing each candidate up to the Mazur cap recovers the full
-    group; no multiple beyond 12 is ever computed.
-    """
-    return _torsion_among(curve, integral_torsion_candidates(curve))
-
-
 def _group_structure(
     curve: Curve, points: list[tuple[Point, int]]
 ) -> tuple[str, tuple[Point, ...]]:
@@ -297,7 +278,13 @@ def nagell_lutz_torsion(
     congruence-obstruction verdicts."""
     bound, evidence = torsion_order_bound(curve, num_primes)
     candidates = integral_torsion_candidates(curve)
-    points = _torsion_among(curve, candidates)
+    # O and every candidate of finite order, with its order: the full group,
+    # since order-testing up to the Mazur cap never misses a torsion point
+    points = [(INFINITY, 1)]
+    for pt in candidates:
+        order = _point_order(curve, pt)
+        if order is not None:
+            points.append((pt, order))
     order = len(points)
     if order not in ADMISSIBLE_GROUP_ORDERS:
         raise InconsistentCertificate(f"inadmissible torsion order {order}")

@@ -33,21 +33,20 @@ def test_halving_quartic_family_shape():
     for target in (PTS.base, PTS.shifted, PTS.combined):
         t = int(target.x)
         q = halving_quartic(M2_CURVE, target)
-        assert q.coefficients == (
+        assert q == (
             m**4 - 4 * d * d * t,
             4 * m * m * t - 8 * d * d,
             2 * m * m,
             -4 * t,
             1,
         )
-        assert q.source_point == target
 
 
 def test_halving_quartic_rational_target_is_primitive():
     target = double(M2_CURVE, PTS.shifted)
     q = halving_quartic(M2_CURVE, target)
-    assert polys.content(list(q.coefficients)) == 1
-    assert q.coefficients[-1] > 0
+    assert polys.content(list(q)) == 1
+    assert q[-1] > 0
 
 
 def test_halving_preimages_canonical_points_empty():
@@ -145,12 +144,12 @@ def test_derive_bound_logic_paths():
     nz = ClassVerdict(PTS.base, True, None, None, (), None)
     zero = ClassVerdict(PTS.base, False, None, None, (PTS.base,), None)
     inconclusive = ClassVerdict(PTS.base, None, None, None, None, None)
-    assert _derive_bound(True, nz, nz, nz) == (True, 2)
+    assert _derive_bound(True, nz, nz, nz) == 2
     # [base] = [shifted] would force [combined] = 0: bound falls back to 1
-    assert _derive_bound(True, nz, nz, zero) == (False, 1)
-    assert _derive_bound(True, zero, nz, nz) == (False, 1)
-    assert _derive_bound(False, nz, nz, nz) == (False, 0)
-    assert _derive_bound(True, nz, nz, inconclusive) == (False, 1)
+    assert _derive_bound(True, nz, nz, zero) == 1
+    assert _derive_bound(True, zero, nz, nz) == 1
+    assert _derive_bound(False, nz, nz, nz) == 0
+    assert _derive_bound(True, nz, nz, inconclusive) == 1
 
 
 def test_rank_certificate_worked_example():
@@ -238,14 +237,14 @@ def test_search_points_finds_planted_large_point():
 
 
 def test_probe_height_zero_is_noop():
-    cert = rank_ge3_probe(M2_PARAMS, 0)
+    cert = rank_ge3_probe(rank_ge2_certificate(M2_PARAMS), 0)
     assert cert.probe_points == ()
     assert cert.rank_lower_bound == 2
     assert cert.probe_height == 0
 
 
 def test_probe_worked_example_finds_no_third_generator():
-    cert = rank_ge3_probe(M2_PARAMS, 500)
+    cert = rank_ge3_probe(rank_ge2_certificate(M2_PARAMS), 500)
     assert cert.rank_lower_bound == 2
     assert all(not p.independent for p in cert.probe_points)
 
@@ -256,7 +255,7 @@ def test_probe_positive_control_rank_three():
     params = FamilyParams(34, 3, 5, 7)
     curve = build_family_curve(params)
     assert Point(-38, 9).y ** 2 == curve.rhs(Point(-38, 9).x)
-    cert = rank_ge3_probe(params, 50, den_bound=1)
+    cert = rank_ge3_probe(rank_ge2_certificate(params), 50, den_bound=1)
     assert cert.rank_lower_bound == 3
     independents = [p.point for p in cert.probe_points if p.independent]
     assert Point(-38, 9) in independents and Point(47, 246) in independents
@@ -264,7 +263,7 @@ def test_probe_positive_control_rank_three():
 
 def test_probe_positive_control_small_m():
     """A rank >= 3 member exists even at m = 2: {p,q,r} = {3,5,13}."""
-    cert = rank_ge3_probe(FamilyParams(2, 3, 5, 13), 50, den_bound=1)
+    cert = rank_ge3_probe(rank_ge2_certificate(FamilyParams(2, 3, 5, 13)), 50, den_bound=1)
     assert cert.rank_lower_bound == 3
     independents = [p.point for p in cert.probe_points if p.independent]
     assert Point(-25, 150) in independents and Point(27, 240) in independents

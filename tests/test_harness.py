@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,15 @@ from ecrank.records import (
 
 FAST = dict(reduction_primes=3, probe=False, height_bound=0, den_bound=1)
 
+GRID_SEED = Path(__file__).resolve().parents[1] / "bench" / "data" / "grid_seed.jsonl"
+
+# sha256 of canonical_comparable(record) at default options, as ecrank 0.1.0
+# wrote them (bench/data/expected.json)
+FROZEN_DIGESTS = {
+    (2, 3, 7, 11): "0920ec8043ed113c518fea8e1de00e00333cada8f183c5c0ca5e1b918892fd06",
+    (34, 3, 5, 7): "8765232de874bcd0c0a9a39f632d99c5adb6a0eb4bba1d8d3d0d6dc51b6568fe",
+}
+
 
 def _fast_record(m=2, p=3, q=7, r=11):
     return build_curve_record(FamilyParams(m, p, q, r), **FAST)
@@ -35,6 +46,17 @@ def test_record_shape_and_integer_strings():
     assert rec["hypotheses"]["all_ok"] is True
     line = record_to_line(rec)
     assert json.loads(line) == rec
+
+
+def test_records_match_frozen_seed(capsys):
+    """Records stay byte-identical to ecrank 0.1.0's, field order included:
+    two default records hash to their frozen digests, one of them with a
+    rank >= 3 probe hit, and the seed-written README grid file rechecks."""
+    for params, digest in FROZEN_DIGESTS.items():
+        line = canonical_comparable(build_curve_record(FamilyParams(*params)))
+        assert hashlib.sha256(line.encode()).hexdigest() == digest, params
+    assert main(["recheck", str(GRID_SEED)]) == 0
+    assert "recheck: true" in capsys.readouterr().out
 
 
 def test_record_determinism():
