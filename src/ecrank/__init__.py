@@ -58,7 +58,6 @@ from .records import SweepSpec, build_curve_record, recheck_diff, recheck_record
 from .reduction import (
     ReducedCurve,
     count_points,
-    legendre_symbol,
     naive_point_count,
     reduce_curve,
 )

@@ -7,7 +7,8 @@ what makes the record files byte-reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cache
+from math import gcd, isqrt, prod
 
 from .errors import FactorizationIncomplete
 
@@ -22,6 +23,8 @@ _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 _SIEVE_LIMIT = 1 << 16
 _small_primes_cache: list[int] | None = None
 
+_TRIAL_BLOCK = 64  # consecutive small primes per gcd test in factorize
+
 
 def small_primes() -> list[int]:
     """Primes below 2^16, sieved once and cached."""
@@ -34,6 +37,14 @@ def small_primes() -> list[int]:
                 sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
         _small_primes_cache = [i for i in range(_SIEVE_LIMIT) if sieve[i]]
     return _small_primes_cache
+
+
+@cache
+def _trial_blocks() -> list[tuple[tuple[int, ...], int]]:
+    """The sieved primes in runs of _TRIAL_BLOCK, each with its product."""
+    primes = small_primes()
+    blocks = [tuple(primes[i : i + _TRIAL_BLOCK]) for i in range(0, len(primes), _TRIAL_BLOCK)]
+    return [(block, prod(block)) for block in blocks]
 
 
 def _mr_witness_says_composite(a: int, n: int, d: int, s: int) -> bool:
@@ -114,19 +125,26 @@ def factorize(n: int, rho_budget: int = 5_000_000) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
     Trial division by the sieved primes first, Pollard rho for what is left.
-    Raises FactorizationIncomplete instead of ever returning a wrong or
-    partial answer.
+    Trial division takes the primes a block at a time: one gcd with the
+    block's product shows whether any of them divides n, and only then is n
+    divided by each.  Raises FactorizationIncomplete instead of ever
+    returning a wrong or partial answer.
     """
     n = abs(n)
     if n <= 1:
         return {}
     factors: dict[int, int] = {}
-    for p in small_primes():
-        if p * p > n:
+    for block, block_product in _trial_blocks():
+        if block[0] * block[0] > n:
             break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+        g = gcd(n, block_product)
+        if g == 1:
+            continue
+        for p in block:
+            if g % p == 0:
+                while n % p == 0:
+                    factors[p] = factors.get(p, 0) + 1
+                    n //= p
     if n == 1:
         return factors
     stack = [n]

@@ -2,13 +2,17 @@
 
 Coordinates are `fractions.Fraction`, which keeps every value in lowest
 terms with a positive denominator, so point equality is plain structural
-equality and nothing is ever rounded.  All operations are pure; Curve and
+equality and nothing is ever rounded.  `Fraction` is kept at the API
+boundary only: the on-curve test and the chord-tangent formulas work on
+the integer numerators and denominators, and each sum builds just its two
+result coordinates as `Fraction`s.  All operations are pure; Curve and
 Point are immutable and safe to share between threads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import PointNotOnCurve, SingularCurve
 
@@ -24,8 +28,10 @@ class Point:
         if (self.x is None) != (self.y is None):
             raise ValueError("affine points need both coordinates")
         if self.x is not None:
-            object.__setattr__(self, "x", Fraction(self.x))
-            object.__setattr__(self, "y", Fraction(self.y))
+            if type(self.x) is not Fraction:
+                object.__setattr__(self, "x", Fraction(self.x))
+            if type(self.y) is not Fraction:
+                object.__setattr__(self, "y", Fraction(self.y))
 
     @property
     def is_infinity(self) -> bool:
@@ -64,9 +70,14 @@ def discriminant(curve: Curve) -> int:
 
 
 def is_on_curve(curve: Curve, pt: Point) -> bool:
+    """y^2 = x^3 + bx + c, cleared of denominators: with x = xn/xd and
+    y = yn/yd, yn^2 xd^3 = (xn^3 + b xn xd^2 + c xd^3) yd^2."""
     if pt.is_infinity:
         return True
-    return pt.y * pt.y == curve.rhs(pt.x)
+    xn, xd = pt.x.numerator, pt.x.denominator
+    yn, yd = pt.y.numerator, pt.y.denominator
+    xd2 = xd * xd
+    return yn * yn * xd2 * xd == (xn * xn * xn + curve.b * xn * xd2 + curve.c * xd2 * xd) * yd * yd
 
 
 def _require_on_curve(curve: Curve, pt: Point) -> None:
@@ -87,15 +98,27 @@ def _add_raw(curve: Curve, p: Point, q: Point) -> Point:
         return q
     if q.is_infinity:
         return p
-    if p.x == q.x:
-        if p.y == -q.y:
+    x1n, x1d, y1n, y1d = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+    x2n, x2d, y2n, y2d = q.x.numerator, q.x.denominator, q.y.numerator, q.y.denominator
+    if x1n == x2n and x1d == x2d:
+        if y1n == -y2n and y1d == y2d:
             return INFINITY
-        # p == q with nonzero y: tangent line
-        slope = (3 * p.x * p.x + curve.b) / (2 * p.y)
+        # p == q with nonzero y: tangent slope (3x^2 + b) / (2y)
+        sn = (3 * x1n * x1n + curve.b * x1d * x1d) * y1d
+        sd = 2 * y1n * x1d * x1d
     else:
-        slope = (q.y - p.y) / (q.x - p.x)
-    x3 = slope * slope - p.x - q.x
-    y3 = slope * (p.x - x3) - p.y
+        # chord slope (y2 - y1) / (x2 - x1)
+        sn = (y2n * y1d - y1n * y2d) * x1d * x2d
+        sd = (x2n * x1d - x1n * x2d) * y1d * y2d
+    g = gcd(sn, sd)
+    sn, sd = sn // g, sd // g
+    # x3 = slope^2 - x1 - x2
+    x3 = Fraction(sn * sn * x1d * x2d - sd * sd * (x1n * x2d + x2n * x1d), sd * sd * x1d * x2d)
+    x3n, x3d = x3.numerator, x3.denominator
+    # y3 = slope (x1 - x3) - y1
+    y3 = Fraction(
+        sn * (x1n * x3d - x3n * x1d) * y1d - y1n * sd * x1d * x3d, sd * x1d * x3d * y1d
+    )
     return Point(x3, y3)
 
 

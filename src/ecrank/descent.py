@@ -25,6 +25,7 @@ from .errors import InconsistentCertificate, InfinityTarget, PointNotOnCurve
 from .family import (
     CanonicalPoints,
     FamilyParams,
+    HypothesisReport,
     build_family_curve,
     canonical_points,
     validate_hypotheses,
@@ -74,7 +75,9 @@ def _halve(curve: Curve, target: Point):
     roots = tuple(polys.rational_roots(list(quartic)))
     halves: list[Point] = []
     for x in roots:
-        y = rational_sqrt(curve.rhs(x))
+        u, v = x.numerator, x.denominator
+        v3 = v * v * v
+        y = rational_sqrt(Fraction(u * u * u + curve.b * u * v * v + curve.c * v3, v3))
         if y is None:
             continue
         for cand in (Point(x, y), Point(x, -y)):
@@ -208,7 +211,9 @@ class ProbePoint:
 
 @dataclass(frozen=True)
 class RankCertificate:
-    """Self-contained, re-checkable evidence for a Mordell-Weil rank bound.
+    """Self-contained, re-checkable evidence for a Mordell-Weil rank bound;
+    it carries the curve and the hypothesis report, so a record is packed
+    from it alone.
 
     rank_lower_bound = 2 requires trivial torsion plus all three canonical
     classes nonzero; with trivial torsion alone the shifted point already
@@ -217,7 +222,8 @@ class RankCertificate:
     """
 
     params: FamilyParams
-    hypotheses_all_ok: bool
+    curve: Curve
+    hypotheses: HypothesisReport
     torsion: TorsionReport
     points: CanonicalPoints
     class_base: ClassVerdict
@@ -226,6 +232,10 @@ class RankCertificate:
     rank_lower_bound: int
     probe_height: int | None = None
     probe_points: tuple[ProbePoint, ...] = ()
+
+    @property
+    def hypotheses_all_ok(self) -> bool:
+        return self.hypotheses.all_ok
 
     @property
     def torsion_trivial(self) -> bool:
@@ -268,7 +278,8 @@ def rank_ge2_certificate(params: FamilyParams, num_primes: int = 5) -> RankCerti
     combined = class_is_nonzero(curve, pts.combined, params)
     return RankCertificate(
         params=params,
-        hypotheses_all_ok=validate_hypotheses(params).all_ok,
+        curve=curve,
+        hypotheses=validate_hypotheses(params),
         torsion=torsion,
         points=pts,
         class_base=base,
@@ -345,8 +356,7 @@ def rank_ge3_probe(cert: RankCertificate, height_bound: int, den_bound: int = 2)
     with the order-4 subgroup from the rank-2 certificate that exhibits a
     subgroup of order 8 in E(Q)/2E(Q), hence rank >= 3.
     """
-    params, pts = cert.params, cert.points
-    curve = build_family_curve(params)
+    params, pts, curve = cert.params, cert.points, cert.curve
     known_x = {pts.base.x, pts.shifted.x, pts.combined.x}
     probes: list[ProbePoint] = []
     if height_bound >= 1:

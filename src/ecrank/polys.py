@@ -2,22 +2,30 @@
 
 Coefficient lists are little-endian: coeffs[i] is the coefficient of x^i.
 
-Everything runs in integer arithmetic.  Integer roots are found by a
-factorization-free method: take the squarefree part P / gcd(P, P'), with the
-gcd from a primitive PRS over Z; find its roots modulo the smallest prime
-from 3 up where they are all simple; Hensel-lift each past twice the Cauchy
-root bound; and verify candidates exactly.  This stays fast even when the
-constant term is a hundred-digit number with no small factors, which
-defeats divisor-enumeration approaches.  Rational roots reduce to the
-integer case through the monic transform z = lead * x.
+Everything runs in integer arithmetic; `Fraction` appears only as the
+type of the rational roots handed back.  Integer roots are found by a
+factorization-free method: find the roots of P modulo the smallest prime
+from 3 up where they are all simple, Hensel-lift each past twice the Cauchy
+root bound, and verify candidates exactly.  The radical P / gcd(P, P'),
+with the gcd from a primitive PRS over Z, is taken only when every prime
+below _RADICAL_AFTER shows a repeated root of P, as a repeated root over Q
+always does.  This stays fast even when the constant term is a
+hundred-digit number with no small factors, which defeats
+divisor-enumeration approaches.  Rational roots reduce to the integer case
+through the monic transform z = lead * x, and each is checked exactly on
+the homogenized polynomial.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
 from math import gcd
 
 from .arith import primes_from, small_primes
+
+# integer_roots lifts the roots of its input itself when some odd prime
+# below this one shows them all simple, and takes the radical only if none does.
+_RADICAL_AFTER = 50
 
 
 def normalize(coeffs) -> list[int]:
@@ -171,6 +179,23 @@ def _roots_mod(coeffs, p: int) -> list[int]:
     return [r for r, v in enumerate(values) if v == 0]
 
 
+def _odd_primes():
+    """3, 5, 7, 11, ... indefinitely."""
+    yield from islice(small_primes(), 1, None)
+    yield from primes_from(1 << 16)
+
+
+def _simple_roots_mod(coeffs, primes):
+    """(p, residues) for the first p in `primes` where every root of coeffs
+    mod p is simple, or None when each p shows a repeated root."""
+    dcs = derivative(coeffs)
+    for p in primes:
+        residues = _roots_mod(coeffs, p)
+        if all(evaluate_mod(dcs, r, p) for r in residues):
+            return p, residues
+    return None
+
+
 def integer_roots(coeffs) -> list[int]:
     """All integer roots of a nonzero integer polynomial, sorted."""
     cs = normalize(coeffs)
@@ -190,37 +215,35 @@ def integer_roots(coeffs) -> list[int]:
             roots.add(-cs[0] // cs[1])
         return sorted(roots)
 
-    sf = squarefree_part(cs)
-    dsf = derivative(sf)
-    lead = abs(sf[-1])
-    bound = 2 + max(abs(c) for c in sf[:-1]) // lead  # Cauchy bound, rounded up
-
-    def candidate_primes():
-        yield from islice(small_primes(), 1, None)  # from 3
-        yield from primes_from(1 << 16)
-
-    # A prime dividing lead serves too: sf is primitive, so it stays nonzero
-    # mod p, and a simple root mod p lifts uniquely whatever lead is.
-    for p in candidate_primes():
-        residues = _roots_mod(sf, p)
-        if any(evaluate_mod(dsf, r, p) == 0 for r in residues):
-            continue  # repeated root mod p; disc(sf) kills only finitely many p
-        if not residues:
-            return sorted(roots)
-        modulus = p
-        while modulus <= 2 * bound:
-            modulus *= modulus
-            residues = [
-                (r - evaluate_mod(sf, r, modulus) * pow(evaluate_mod(dsf, r, modulus), -1, modulus))
-                % modulus
-                for r in residues
-            ]
-        for r in residues:
-            x = r if r <= modulus // 2 else r - modulus
-            if evaluate(cs, x) == 0:
-                roots.add(x)
+    # A root that is simple mod p lifts to at most one integer root, so cs
+    # itself serves at the first p where all its roots are simple.  A
+    # repeated root over Q stays repeated mod every p; only then is the
+    # radical worth its gcd, and its roots are simple mod every p that does
+    # not divide its discriminant.  A prime dividing lead serves too: a
+    # simple root mod p lifts uniquely whatever lead is.
+    poly = cs
+    found = _simple_roots_mod(cs, takewhile(lambda p: p < _RADICAL_AFTER, _odd_primes()))
+    if found is None:
+        poly = squarefree_part(cs)
+        found = _simple_roots_mod(poly, _odd_primes())  # the stream is infinite
+    p, residues = found
+    if not residues:
         return sorted(roots)
-    raise AssertionError("unreachable: prime stream is infinite")
+    dpoly = derivative(poly)
+    bound = 2 + max(abs(c) for c in poly[:-1]) // abs(poly[-1])  # Cauchy bound, rounded up
+    modulus = p
+    while modulus <= 2 * bound:
+        modulus *= modulus
+        residues = [
+            (r - evaluate_mod(poly, r, modulus) * pow(evaluate_mod(dpoly, r, modulus), -1, modulus))
+            % modulus
+            for r in residues
+        ]
+    for r in residues:
+        x = r if r <= modulus // 2 else r - modulus
+        if evaluate(cs, x) == 0:
+            roots.add(x)
+    return sorted(roots)
 
 
 def rational_roots(coeffs) -> list[Fraction]:
@@ -236,4 +259,13 @@ def rational_roots(coeffs) -> list[Fraction]:
     d = len(cs) - 1
     monic = [cs[i] * an ** (d - 1 - i) for i in range(d)] + [1]
     roots = [Fraction(z, an) for z in integer_roots(monic)]
-    return sorted(x for x in roots if evaluate(cs, x) == 0)
+    return sorted(x for x in roots if _vanishes_at(cs, x.numerator, x.denominator))
+
+
+def _vanishes_at(coeffs, u: int, v: int) -> bool:
+    """coeffs(u/v) == 0, tested as sum c_i u^i v^(d-i) == 0 in integers."""
+    acc, vk = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * u + c * vk
+        vk *= v
+    return acc == 0

@@ -32,7 +32,7 @@ from .descent import (
     rank_ge3_probe,
 )
 from .errors import NotPrime, PrimeIsTwo, SweepResumeMismatch
-from .family import FamilyParams, build_family_curve, validate_hypotheses
+from .family import FamilyParams
 from .torsion import TorsionReport
 
 SCHEMA_VERSION = 1
@@ -139,9 +139,7 @@ def _probe_point_obj(pp: ProbePoint):
 
 
 def certificate_to_record(cert: RankCertificate, options: dict, timings: dict[str, float]) -> dict:
-    params = cert.params
-    curve = build_family_curve(params)
-    hyp = validate_hypotheses(params)
+    params, curve, hyp = cert.params, cert.curve, cert.hypotheses
     record = {
         "schema": SCHEMA_VERSION,
         "params": {

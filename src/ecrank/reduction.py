@@ -37,16 +37,6 @@ def reduce_curve(curve: Curve, ell: int) -> ReducedCurve:
     return ReducedCurve(ell, curve.b % ell, curve.c % ell, kind)
 
 
-def legendre_symbol(a: int, ell: int) -> int:
-    """Quadratic character of a mod ell (odd prime), by Euler's criterion."""
-    if ell == 2 or not is_prime(ell):
-        raise NotPrime(f"legendre_symbol needs an odd prime, got {ell}")
-    a %= ell
-    if a == 0:
-        return 0
-    return 1 if pow(a, (ell - 1) // 2, ell) == 1 else -1
-
-
 def count_points(rc: ReducedCurve) -> int:
     """#E(F_ell) = 1 + sum over x of (1 + chi(x^3 + bx + c)).
 

@@ -97,3 +97,55 @@ def test_two_adic_valuation():
     assert two_adic_valuation(7) == 0
     with pytest.raises(ValueError):
         two_adic_valuation(0)
+
+
+def _primes_below(limit):
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    return [i for i in range(limit) if sieve[i]]
+
+
+ORACLE_PRIMES = _primes_below(1 << 17)
+
+
+def _trial_division_oracle(n):
+    """One prime at a time; exact for |n| < 2^34."""
+    n, out = abs(n), {}
+    for p in ORACLE_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    else:
+        raise ValueError("outside the oracle's range")
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_blocks_match_trial_division():
+    from ecrank.arith import _TRIAL_BLOCK
+
+    small = [p for p in ORACLE_PRIMES if p < 1 << 16]
+    blocks = [small[i : i + _TRIAL_BLOCK] for i in range(0, len(small), _TRIAL_BLOCK)]
+    ends = [(block[0], block[-1]) for block in blocks]
+    cases = [0, 1, -1, 2, -2, 65521**2, 65537 * 65539, -65521 * 65537, 2**20 * 3**5 * 65521]
+    for (first, last), (next_first, _) in zip(ends, ends[1:] + [(65537, None)]):
+        cases += [first, -last, first * last, last * last, last * next_first]
+        cases.append(-(last**2) * next_first)
+    rng = random.Random(13)
+    for _ in range(300):
+        n = 1
+        while n < 1 << 17:
+            n *= rng.choice(small[: rng.choice([20, len(small)])])
+        cases.append(rng.choice([1, -1]) * n)
+    for n in cases:
+        got, want = list(factorize(n).items()), _trial_division_oracle(n)
+        assert dict(got) == want, n
+        # trial division, not rho, finds every sieved prime, and in order
+        sieved = [(p, e) for p, e in want.items() if p < 1 << 16]
+        assert got[: len(sieved)] == sieved, n

@@ -147,3 +147,68 @@ def test_group_law_fuzz():
             assert left == right
             assert add(curve, a, bb) == add(curve, bb, a)
             assert is_on_curve(curve, left)
+
+
+# -- oracle: the chord-tangent formulas in Fraction arithmetic --
+
+
+def _oracle_on_curve(curve, pt):
+    return pt.is_infinity or pt.y * pt.y == pt.x**3 + curve.b * pt.x + curve.c
+
+
+def _oracle_add(curve, p, q):
+    if p.is_infinity:
+        return q
+    if q.is_infinity:
+        return p
+    if p.x == q.x:
+        if p.y == -q.y:
+            return INFINITY
+        slope = (3 * p.x * p.x + curve.b) / (2 * p.y)
+    else:
+        slope = (q.y - p.y) / (q.x - p.x)
+    x3 = slope * slope - p.x - q.x
+    return Point(x3, slope * (p.x - x3) - p.y)
+
+
+def _oracle_scalar_mul(curve, n, p):
+    if n < 0:
+        n, p = -n, (p if p.is_infinity else Point(p.x, -p.y))
+    result = INFINITY
+    while n:
+        if n & 1:
+            result = _oracle_add(curve, result, p)
+        p = _oracle_add(curve, p, p)
+        n >>= 1
+    return result
+
+
+def test_group_law_matches_fraction_oracle():
+    from ecrank.descent import search_points
+    from ecrank.family import FamilyParams, build_family_curve
+
+    members = [(2, 3, 7, 11), (34, 3, 5, 7), (2, 3, 5, 13), (2, 7, 11, 13), (66, 3, 5, 7)]
+    for params in members + [(6, 5, 7, 11)]:
+        curve = build_family_curve(FamilyParams(*params))
+        found = search_points(curve, 60, 2)
+        pool = found[:6] + [Point(pt.x, -pt.y) for pt in found[:2]]
+        pool += [_oracle_scalar_mul(curve, k, found[0]) for k in (2, 3, -5)]
+        pool.append(INFINITY)
+        assert len(found) >= 2 and any(p.x.denominator > 1 for p in pool[:-1])
+        for p in pool:
+            assert is_on_curve(curve, p) and _oracle_on_curve(curve, p)
+            assert double(curve, p) == _oracle_add(curve, p, p)
+            for n in (-7, -2, 0, 1, 4, 11):
+                assert scalar_mul(curve, n, p) == _oracle_scalar_mul(curve, n, p)
+            for q in pool:
+                assert add(curve, p, q) == _oracle_add(curve, p, q)
+        # off the curve by a change of y alone: each check must still say so
+        for p in pool[:-1]:
+            for dy in (Fraction(1), Fraction(-1), Fraction(1, p.y.denominator + 1), p.y / 7):
+                off = Point(p.x, p.y + dy)
+                assert is_on_curve(curve, off) == _oracle_on_curve(curve, off)
+                if not _oracle_on_curve(curve, off):
+                    with pytest.raises(PointNotOnCurve):
+                        add(curve, off, p)
+                    with pytest.raises(PointNotOnCurve):
+                        double(curve, off)

@@ -198,3 +198,33 @@ def test_roots_match_fraction_euclid():
         assert polys.squarefree_part(p) == _oracle_squarefree_part(p), p
         assert polys.integer_roots(p) == _oracle_integer_roots(p), p
         assert polys.rational_roots(p) == _oracle_rational_roots(p), p
+
+
+def test_radical_taken_only_when_every_small_prime_repeats(monkeypatch):
+    """integer_roots lifts from the input itself unless every odd prime below
+    polys._RADICAL_AFTER shows a repeated root; then it takes the radical."""
+    n = LEAD_ALL_PRIMES_BELOW_50  # 614889782588491410
+    primes = [p for p in range(2, polys._RADICAL_AFTER) if all(p % q for q in range(2, p))]
+    assert all(n % p == 0 for p in primes)
+    radicals = []
+    real = polys.squarefree_part
+    monkeypatch.setattr(polys, "squarefree_part", lambda cs: radicals.append(cs) or real(cs))
+    cases = [
+        # (x - 1)^2 (x + 5)(x - 3): the double root stays double mod every prime
+        (polys.mul(polys.mul([-1, 1], [-1, 1]), polys.mul([5, 1], [-3, 1])), True),
+        # x (x - n): the roots meet mod every prime below 50; 0 is split off first
+        (polys.mul([0, 1], [-n, 1]), False),
+        # squarefree, yet 1 and 1 + n meet mod every prime below 50
+        (polys.mul([-1, 1], [-1 - n, 1]), True),
+        (polys.mul(polys.mul([-1, 1], [-1 - n, 1]), [1, 0, 1]), True),
+        # simple roots mod 3 already: no radical
+        (polys.mul(polys.mul([-2, 1], [1, 1]), [1, 1, 1]), False),
+        (polys.mul([-1, 1], [-1 - 3 * n, 1]), True),
+        (polys.mul([-1, 1], [-1 - n // 47, 1]), False),
+    ]
+    for p, radical in cases:
+        radicals.clear()
+        roots = polys.integer_roots(p)
+        assert bool(radicals) == radical, p
+        assert roots == _oracle_integer_roots(p), p
+        assert polys.rational_roots(p) == _oracle_rational_roots(p), p

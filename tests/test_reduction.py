@@ -9,7 +9,6 @@ from ecrank.reduction import (
     count_points,
     good_odd_primes,
     hasse_interval,
-    legendre_symbol,
     naive_point_count,
     reduce_curve,
 )
@@ -26,21 +25,6 @@ def test_reduce_curve():
     assert (rc.b_mod, rc.c_mod) == (2, 0) and rc.is_good
     with pytest.raises(NotPrime):
         reduce_curve(M2_CURVE, 6)
-
-
-def test_legendre_symbol():
-    assert legendre_symbol(1, 5) == 1
-    assert legendre_symbol(0, 7) == 0
-    assert legendre_symbol(3, 7) == -1  # squares mod 7 are {1, 2, 4}
-    assert legendre_symbol(2, 7) == 1
-    with pytest.raises(NotPrime):
-        legendre_symbol(3, 2)
-    # Euler's criterion agrees with explicit square sets
-    for ell in (3, 5, 7, 11, 13, 97):
-        squares = {y * y % ell for y in range(1, ell)}
-        for a in range(ell):
-            expect = 0 if a == 0 else (1 if a in squares else -1)
-            assert legendre_symbol(a, ell) == expect
 
 
 # counts below were verified by brute-force enumeration over F_ell before
