@@ -26,8 +26,8 @@ from .family import (
     CanonicalPoints,
     FamilyParams,
     HypothesisReport,
+    _canonical_points,
     build_family_curve,
-    canonical_points,
     validate_hypotheses,
 )
 from .torsion import TorsionReport, nagell_lutz_torsion
@@ -272,7 +272,7 @@ def rank_ge2_certificate(params: FamilyParams, num_primes: int = 5) -> RankCerti
     """Run the full torsion + three-class pipeline for one parameter set."""
     curve = build_family_curve(params)
     torsion = nagell_lutz_torsion(curve, params, num_primes)
-    pts = canonical_points(params)
+    pts = _canonical_points(curve, params)
     base = class_is_nonzero(curve, pts.base, params)
     shifted = class_is_nonzero(curve, pts.shifted, params)
     combined = class_is_nonzero(curve, pts.combined, params)
@@ -293,8 +293,17 @@ def rank_ge2_certificate(params: FamilyParams, num_primes: int = 5) -> RankCerti
 # square is a square modulo each of them, so a numerator whose value is a
 # non-residue modulo any one of them cannot give a point.
 _SIEVE_MODULI = (16, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-_SQUARES_MOD = {n: frozenset(r * r % n for r in range(n)) for n in _SIEVE_MODULI}
-_SIEVE_BLOCK = 1 << 16  # numerators per sieve block: 64 KB at any height bound
+
+
+def _square_digits(n: int) -> bytes:
+    """bytes.translate table mapping a residue v to b"1" when v is a square
+    mod n and to b"0" otherwise, so a value table becomes binary digits."""
+    squares = {r * r % n for r in range(n)}
+    return bytes(b"01"[v in squares] for v in range(256))
+
+
+_SQUARE_DIGITS = {n: _square_digits(n) for n in _SIEVE_MODULI}
+_SIEVE_BLOCK = 1 << 18  # numerators per sieve block: a 32 KB integer at any height bound
 
 
 def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[Point]:
@@ -313,37 +322,53 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
     perfect square, and then y = isqrt(F(u))/w^3.
 
     Before isqrt, a ratpoints-style sieve (M. Stoll) strikes out every u
-    whose F(u) is a non-residue modulo 16 or a small odd prime, one block of
-    numerators at a time.  The sieve only filters: every survivor is
-    confirmed by isqrt, so the result does not depend on the moduli.
+    whose F(u) is a non-residue modulo 16 or a small odd prime.  For each
+    modulus n, the residues that pass form an n-bit mask, tiled by doubling
+    once per w.  A block of numerators from `start` is one integer whose
+    bit i stands for u = start + i; it is ANDed with each tile shifted
+    right by start mod n, and the set bits left are walked in its binary
+    digits.  The sieve only filters: each survivor is confirmed by isqrt,
+    so the result does not depend on the moduli.
     """
     found: list[Point] = []
     for w in range(1, den_bound + 1):
         w2 = w * w
         bw4, cw6 = curve.b * w2 * w2, curve.c * w2 * w2 * w2
-        struck = [
-            (n, [r for r in range(n) if (r * r * r + bw4 * r + cw6) % n not in _SQUARES_MOD[n]])
-            for n in _SIEVE_MODULI
-        ]
         hi = height_bound * w2
+        width = min(_SIEVE_BLOCK, 2 * hi + 1)
+        tiles = []
+        for n, values in zip(_SIEVE_MODULI, polys.cubic_value_tables(bw4, cw6, _SIEVE_MODULI)):
+            # digit r of the reversed string is 1 when F(r) is a square mod n
+            tile = int(bytes(values).translate(_SQUARE_DIGITS[n])[::-1], 2)
+            span = n
+            while span < width + n:  # bit i is residue i mod n, for i < width + n
+                tile |= tile << span
+                span *= 2
+            tiles.append((n, tile))
         for start in range(-hi, hi + 1, _SIEVE_BLOCK):
-            size = min(_SIEVE_BLOCK, hi + 1 - start)
-            alive = bytearray(b"\x01") * size
-            for n, residues in struck:
-                for r in residues:
-                    off = (r - start) % n
-                    if off < size:
-                        alive[off::n] = bytes((size - 1 - off) // n + 1)
-            i = alive.find(1)
-            while i >= 0:
-                u = start + i
+            alive = (1 << min(_SIEVE_BLOCK, hi + 1 - start)) - 1
+            for n, tile in tiles:
+                alive &= tile >> (start % n)
+            digits = f"{alive:b}"  # digit j stands for u = top - j
+            top = start + len(digits) - 1
+            j = digits.find("1")
+            while j >= 0:
+                u = top - j
                 f = u * u * u + bw4 * u + cw6
                 if f >= 0 and gcd(u, w) == 1:
                     s = isqrt(f)
                     if s * s == f:
                         found.append(Point(Fraction(u, w2), Fraction(s, w2 * w)))
-                i = alive.find(1, i + 1)
+                j = digits.find("1", j + 1)
     return sorted(found, key=lambda p: (p.x, p.y))
+
+
+def _check_probe_bounds(height_bound: int, den_bound: int) -> None:
+    """Raise ValueError unless both probe bounds are nonnegative."""
+    if height_bound < 0 or den_bound < 0:
+        raise ValueError(
+            f"probe bounds must be nonnegative, got height {height_bound}, denominator {den_bound}"
+        )
 
 
 def rank_ge3_probe(cert: RankCertificate, height_bound: int, den_bound: int = 2) -> RankCertificate:
@@ -355,7 +380,11 @@ def rank_ge3_probe(cert: RankCertificate, height_bound: int, den_bound: int = 2)
     [C + base], [C + shifted], [C + base + shifted] being nonzero; together
     with the order-4 subgroup from the rank-2 certificate that exhibits a
     subgroup of order 8 in E(Q)/2E(Q), hence rank >= 3.
+
+    Raises ValueError for a negative height or denominator bound; a bound
+    of 0 means no search.
     """
+    _check_probe_bounds(height_bound, den_bound)
     params, pts, curve = cert.params, cert.points, cert.curve
     known_x = {pts.base.x, pts.shifted.x, pts.combined.x}
     probes: list[ProbePoint] = []

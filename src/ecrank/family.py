@@ -102,7 +102,11 @@ def canonical_points(params: FamilyParams) -> CanonicalPoints:
     rank certificate needs, and [P] = [-P] there, so the sign of the
     y-coordinate never matters downstream.
     """
-    curve = build_family_curve(params)
+    return _canonical_points(build_family_curve(params), params)
+
+
+def _canonical_points(curve: Curve, params: FamilyParams) -> CanonicalPoints:
+    """canonical_points on a curve the caller has already built."""
     base = Point(0, params.pqr)
     shifted = Point(params.m, params.pqr)
     combined = add(curve, base, shifted)

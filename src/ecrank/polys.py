@@ -6,11 +6,13 @@ Everything runs in integer arithmetic; `Fraction` appears only as the
 type of the rational roots handed back.  Integer roots are found by a
 factorization-free method: find the roots of P modulo the smallest prime
 from 3 up where they are all simple, Hensel-lift each past twice the Cauchy
-root bound, and verify candidates exactly.  The radical P / gcd(P, P'),
-with the gcd from a primitive PRS over Z, is taken only when every prime
-below _RADICAL_AFTER shows a repeated root of P, as a repeated root over Q
-always does.  This stays fast even when the constant term is a
-hundred-digit number with no small factors, which defeats
+root bound, and verify candidates exactly.  Lifting starts only after P
+has shown a root mod every prime in _NO_ROOT_PRIMES: an integer root is a
+root mod every prime, so one prime with no root ends the search.  The
+radical P / gcd(P, P'), with the gcd from a primitive PRS over Z, is taken
+only when every prime below _RADICAL_AFTER shows a repeated root of P, as
+a repeated root over Q always does.  This stays fast even when the constant
+term is a hundred-digit number with no small factors, which defeats
 divisor-enumeration approaches.  Rational roots reduce to the integer case
 through the monic transform z = lead * x, and each is checked exactly on
 the homogenized polynomial.
@@ -26,6 +28,10 @@ from .arith import primes_from, small_primes
 # integer_roots lifts the roots of its input itself when some odd prime
 # below this one shows them all simple, and takes the radical only if none does.
 _RADICAL_AFTER = 50
+
+# An integer root is a root mod every prime, so integer_roots returns at once
+# when the polynomial has no root mod one of these, before any Hensel lifting.
+_NO_ROOT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
 
 def normalize(coeffs) -> list[int]:
@@ -55,6 +61,14 @@ def evaluate_mod(coeffs, x: int, mod: int) -> int:
     for c in reversed(list(coeffs)):
         acc = (acc * x + c) % mod
     return acc
+
+
+def cubic_value_tables(b: int, c: int, moduli: tuple[int, ...]) -> list[list[int]]:
+    """Value tables of x^3 + bx + c, one per modulus: entry r of the table
+    for n is r^3 + br + c mod n, for 0 <= r < n.  The exact values are
+    computed once, up to the largest modulus, and reduced for each n."""
+    exact = [r * (r * r + b) + c for r in range(max(moduli))]
+    return [[v % n for v in exact[:n]] for n in moduli]
 
 
 def add(a, b) -> list[int]:
@@ -227,7 +241,7 @@ def integer_roots(coeffs) -> list[int]:
         poly = squarefree_part(cs)
         found = _simple_roots_mod(poly, _odd_primes())  # the stream is infinite
     p, residues = found
-    if not residues:
+    if not residues or any(q > p and not _roots_mod(poly, q) for q in _NO_ROOT_PRIMES):
         return sorted(roots)
     dpoly = derivative(poly)
     bound = 2 + max(abs(c) for c in poly[:-1]) // abs(poly[-1])  # Cauchy bound, rounded up

@@ -28,6 +28,7 @@ from .descent import (
     CongruenceEvidence,
     ProbePoint,
     RankCertificate,
+    _check_probe_bounds,
     rank_ge2_certificate,
     rank_ge3_probe,
 )
@@ -64,6 +65,7 @@ class SweepSpec:
             raise ValueError("prime pool needs at least three primes")
         if self.output_format not in ("jsonl", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
+        _check_probe_bounds(self.height_bound, self.den_bound)
         for p in self.prime_pool:
             if p == 2:
                 raise PrimeIsTwo("prime pool entries must be odd")
@@ -191,7 +193,12 @@ def build_curve_record(
     height_bound: int = 10_000,
     den_bound: int = 2,
 ) -> dict:
-    """Run the full pipeline on one parameter set and package the result."""
+    """Run the full pipeline on one parameter set and package the result.
+
+    The options are recorded even with probe=False, so negative bounds
+    raise ValueError either way.
+    """
+    _check_probe_bounds(height_bound, den_bound)
     options = {
         "reduction_primes": reduction_primes,
         "probe": probe,

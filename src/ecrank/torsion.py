@@ -34,6 +34,12 @@ ADMISSIBLE_GROUP_ORDERS = frozenset({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16})
 
 SUPPORTED_ORDERS = (2, 3, 5, 7)
 
+# Residue sieve of the Nagell-Lutz loop.  If x^3 + bx + c = y^2 has an
+# integer root, y^2 mod n is a value of the cubic mod every n; a y whose
+# square misses one value table needs no root extraction.  27, 5, 7 and 16
+# strike the most y per residue on the family grid.
+_CANDIDATE_MODULI = (27, 5, 7, 16, 11, 13, 17, 19, 23)
+
 
 def torsion_order_bound(curve: Curve, num_primes: int) -> tuple[int, list[tuple[int, int]]]:
     """gcd of #E(F_ell) over the first `num_primes` odd primes of good
@@ -232,12 +238,24 @@ def integral_torsion_candidates(curve: Curve) -> list[Point]:
     Every rational torsion point is among these, so the candidate list is a
     complete search space; the converse fails (a candidate can have
     infinite order) and is settled by the order test.
+
+    Each y goes to exact root extraction only if y^2 mod n is a value of
+    x^3 + bx + c mod n for every n in _CANDIDATE_MODULI.  The tables are
+    built once per curve, and the filter drops no y that has an integral x.
     """
     candidates = set(two_torsion_points(curve))
+    b, c = curve.b, curve.c
+    tables = [
+        (n, frozenset(values))
+        for n, values in zip(_CANDIDATE_MODULI, polys.cubic_value_tables(b, c, _CANDIDATE_MODULI))
+    ]
     # y^2 | Delta exactly when y divides the product of p^(e // 2) over p^e || Delta
     halved = {p: e // 2 for p, e in factorize(discriminant(curve)).items() if e > 1}
     for y in divisors(halved):
-        for x in polys.integer_roots([curve.c - y * y, curve.b, 0, 1]):
+        y2 = y * y
+        if not all(y2 % n in values for n, values in tables):
+            continue
+        for x in polys.integer_roots([c - y2, b, 0, 1]):
             candidates.add(Point(x, y))
             candidates.add(Point(x, -y))
     return sorted(candidates, key=str)

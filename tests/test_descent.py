@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
 from ecrank.arith import rational_sqrt
 from ecrank.curves import INFINITY, Curve, Point, add, double, is_on_curve, negate, scalar_mul
+from ecrank import descent
 from ecrank.descent import (
     ClassVerdict,
     _derive_bound,
@@ -20,6 +21,7 @@ from ecrank.descent import (
 from ecrank.errors import InfinityTarget, PointNotOnCurve
 from ecrank.family import FamilyParams, build_family_curve, canonical_points
 from ecrank import polys
+from ecrank.records import SweepSpec, build_curve_record
 
 M2_PARAMS = FamilyParams(2, 3, 7, 11)
 M2_CURVE = build_family_curve(M2_PARAMS)
@@ -234,6 +236,90 @@ def test_search_points_finds_planted_large_point():
         found = search_points(curve, 200_000)
         assert Point(x0, y0) in found
         assert all(p.y >= 0 and is_on_curve(curve, p) for p in found)
+
+
+_BYTE_SIEVE_MODULI = (16, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_BYTE_SIEVE_SQUARES = {n: frozenset(r * r % n for r in range(n)) for n in _BYTE_SIEVE_MODULI}
+
+
+def _bytearray_search(curve, height_bound, den_bound, block=1 << 16):
+    """The sieve before the bit-packed one, kept as the oracle: one
+    bytearray per block, non-residues struck by slice assignment."""
+    found = []
+    for w in range(1, den_bound + 1):
+        w2 = w * w
+        bw4, cw6 = curve.b * w2 * w2, curve.c * w2 * w2 * w2
+        struck = [
+            (n, [r for r in range(n) if (r**3 + bw4 * r + cw6) % n not in _BYTE_SIEVE_SQUARES[n]])
+            for n in _BYTE_SIEVE_MODULI
+        ]
+        hi = height_bound * w2
+        for start in range(-hi, hi + 1, block):
+            size = min(block, hi + 1 - start)
+            alive = bytearray(b"\x01") * size
+            for n, residues in struck:
+                for r in residues:
+                    off = (r - start) % n
+                    if off < size:
+                        alive[off::n] = bytes((size - 1 - off) // n + 1)
+            i = alive.find(1)
+            while i >= 0:
+                u = start + i
+                f = u * u * u + bw4 * u + cw6
+                if f >= 0 and gcd(u, w) == 1:
+                    s = isqrt(f)
+                    if s * s == f:
+                        found.append(Point(Fraction(u, w2), Fraction(s, w2 * w)))
+                i = alive.find(1, i + 1)
+    return sorted(found, key=lambda p: (p.x, p.y))
+
+
+def test_search_points_matches_bytearray_sieve():
+    """Heights whose numerator range spans several sieve blocks, H = 0 and
+    1, D up to 4, family members and non-family curves with c < 0."""
+    rng = random.Random(31)
+    curves = [build_family_curve(FamilyParams(m, *trip))
+              for m, trip in ((2, (3, 7, 11)), (34, (3, 5, 7)), (66, (5, 7, 13)))]
+    curves += [Curve(-12, -10), Curve(-11, -6), Curve(5, -7)]
+    while len(curves) < 10:
+        b, c = rng.randint(-10**4, 10**4), -rng.randint(1, 10**6)
+        if 4 * b**3 + 27 * c**2 != 0:
+            curves.append(Curve(b, c))
+    tall = descent._SIEVE_BLOCK // 4 + 1  # at w = 2 the range spans more than 2 blocks
+    found = 0
+    for curve in curves:
+        for height, den in ((0, 4), (1, 4), (2, 1), (777, 3), (5000, 4), (tall, 2)):
+            expected = _bytearray_search(curve, height, den)
+            assert search_points(curve, height, den) == expected, (curve, height, den)
+            found += len(expected)
+    assert found >= 80
+    # a planted integral point in the second of three blocks at w = 1
+    block = descent._SIEVE_BLOCK
+    for x0 in (block // 3, block - 5):
+        b = rng.randint(-50, 50)
+        y0 = isqrt(x0**3 + b * x0) + rng.randint(1, 1000)
+        curve = Curve(b, y0 * y0 - x0**3 - b * x0)
+        expected = _bytearray_search(curve, block, 1)
+        assert Point(x0, y0) in expected
+        assert search_points(curve, block, 1) == expected
+
+
+def test_probe_rejects_negative_bounds():
+    """A negative height or denominator bound raises ValueError in the
+    probe, the record builder and the sweep spec; 0 still means no search."""
+    cert = rank_ge2_certificate(M2_PARAMS)
+    for height, den in ((-5, 2), (500, -1), (-1, -1)):
+        with pytest.raises(ValueError):
+            rank_ge3_probe(cert, height, den)
+        with pytest.raises(ValueError):
+            build_curve_record(M2_PARAMS, height_bound=height, den_bound=den)
+        with pytest.raises(ValueError):
+            build_curve_record(M2_PARAMS, probe=False, height_bound=height, den_bound=den)
+        with pytest.raises(ValueError):
+            SweepSpec((2,), (3, 5, 7), height_bound=height, den_bound=den)
+    for height, den in ((0, 2), (500, 0), (0, 0)):
+        probed = rank_ge3_probe(cert, height, den)
+        assert probed.probe_points == () and probed.rank_lower_bound == 2
 
 
 def test_probe_height_zero_is_noop():

@@ -172,6 +172,18 @@ def test_cli_verify_exit_codes(capsys):
     assert "not prime" in capsys.readouterr().err
 
 
+def test_cli_rejects_negative_probe_bounds(tmp_path, capsys):
+    params = ["--m", "2", "--p", "3", "--q", "7", "--r", "11"]
+    assert main(["verify", *params, "--height-bound", "-5"]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+    assert main(["verify", *params, "--den-bound", "-1", "--no-probe"]) == 2
+    out = tmp_path / "out.jsonl"
+    sweep = ["sweep", "--m-list", "2", "--prime-pool", "3,5,7", "--out", str(out)]
+    assert main([*sweep, "--den-bound", "-1"]) == 2
+    assert not out.exists()
+    assert main(["verify", *params, "--height-bound", "0", "--den-bound", "0"]) == 0
+
+
 def test_cli_verify_runs_outside_hypotheses(capsys):
     """Hypothesis failures are reported but never stop the pipeline; the
     exit code reflects what was actually certified."""

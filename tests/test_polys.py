@@ -6,6 +6,9 @@ import pytest
 
 from ecrank import polys
 from ecrank.arith import primes_from
+from ecrank.curves import add
+from ecrank.descent import halving_quartic, search_points
+from ecrank.family import FamilyParams, build_family_curve, canonical_points
 
 
 def test_evaluate_and_basics():
@@ -228,3 +231,55 @@ def test_radical_taken_only_when_every_small_prime_repeats(monkeypatch):
         assert bool(radicals) == radical, p
         assert roots == _oracle_integer_roots(p), p
         assert polys.rational_roots(p) == _oracle_rational_roots(p), p
+
+
+def _halving_quartics():
+    """Halving quartics of probe points on three family members: C and
+    C + each canonical point, for every C the search finds."""
+    for m, p, q, r in ((2, 3, 7, 11), (34, 3, 5, 7), (2, 3, 5, 13)):
+        params = FamilyParams(m, p, q, r)
+        curve = build_family_curve(params)
+        pts = canonical_points(params)
+        for cand in search_points(curve, 300):
+            if cand.y == 0:
+                continue
+            for target in (cand, *(add(curve, cand, pt) for pt in pts)):
+                if not target.is_infinity:
+                    yield list(halving_quartic(curve, target))
+
+
+def test_no_root_primes_match_fraction_euclid():
+    """integer_roots returns early when some prime in _NO_ROOT_PRIMES shows
+    no root; these cases have a root mod every prime, planted roots, or
+    are halving quartics, and must agree with the Fraction oracle."""
+    rng = random.Random(9)
+    everywhere = [
+        polys.mul(polys.mul([-2, 0, 1], [-3, 0, 1]), [-6, 0, 1]),  # (x^2-2)(x^2-3)(x^2-6)
+        polys.mul([3, 0, 1], [-2, 0, 0, 1]),  # (x^2+3)(x^3-2)
+    ]
+    for p in everywhere:
+        for q in polys._NO_ROOT_PRIMES:
+            assert any(polys.evaluate_mod(p, x, q) == 0 for x in range(q)), (p, q)
+    cases = list(everywhere)
+    for p in everywhere:
+        cases.append(polys.mul(p, [-rng.randint(-10**6, 10**6), 1]))  # planted integer root
+        cases.append(polys.mul(p, [rng.randint(1, 999), -rng.choice([2, 3, 35, 391])]))  # rational
+    for _ in range(60):
+        roots = [rng.randint(-(10**9), 10**9) for _ in range(rng.randint(1, 3))]
+        planted = [rng.choice([-1, 1])]
+        for x in roots:
+            planted = polys.mul(planted, [-x, 1])
+        cofactor = [rng.randint(-(10**6), 10**6) for _ in range(rng.randint(1, 3))] + [1]
+        cases.append(polys.mul(planted, cofactor))
+        u, v = rng.randint(-999, 999), rng.randint(2, 999)
+        cases.append(polys.mul([-u, v], cofactor))  # root u/v when gcd(u, v) = 1
+    quartics = list(_halving_quartics())
+    assert len(quartics) >= 40
+    cases += quartics
+    with_roots = 0
+    for p in cases:
+        assert polys.integer_roots(p) == _oracle_integer_roots(p), p
+        found = polys.rational_roots(p)
+        assert found == _oracle_rational_roots(p), p
+        with_roots += bool(found)
+    assert with_roots >= 100

@@ -1,4 +1,6 @@
+import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from ecrank import polys
-from ecrank.curves import Curve, Point, scalar_mul
+from ecrank.arith import divisors, factorize
+from ecrank.curves import Curve, Point, discriminant, scalar_mul
 from ecrank.errors import UnsupportedOrder
 from ecrank.family import FamilyParams, build_family_curve
 from ecrank.torsion import (
@@ -15,8 +18,10 @@ from ecrank.torsion import (
     congruence_obstruction,
     division_poly_has_integer_root,
     division_polynomial,
+    integral_torsion_candidates,
     nagell_lutz_torsion,
     torsion_order_bound,
+    two_torsion_points,
 )
 
 M2_PARAMS = FamilyParams(2, 3, 7, 11)
@@ -300,6 +305,37 @@ def test_every_admissible_torsion_shape(b, c, order, structure):
         )
         generated *= g_order
     assert generated == order  # cyclic or Z/2 x Z/2n: orders multiply
+
+
+def _unfiltered_candidates(curve):
+    """The Nagell-Lutz loop without the residue filter, kept as the oracle:
+    root extraction for every y with y^2 | Delta."""
+    candidates = set(two_torsion_points(curve))
+    halved = {p: e // 2 for p, e in factorize(discriminant(curve)).items() if e > 1}
+    for y in divisors(halved):
+        for x in polys.integer_roots([curve.c - y * y, curve.b, 0, 1]):
+            candidates.add(Point(x, y))
+            candidates.add(Point(x, -y))
+    return sorted(candidates, key=str)
+
+
+def test_candidate_filter_matches_unfiltered_loop():
+    """Every torsion shape, 200 small random curves and family members:
+    the filtered loop finds exactly the oracle's candidates."""
+    rng = random.Random(17)
+    curves = [Curve(b, c) for b, c, _, _ in TORSION_ZOO]
+    while len(curves) < len(TORSION_ZOO) + 200:
+        b, c = rng.randint(-60, 60), rng.randint(-200, 200)
+        if 4 * b**3 + 27 * c**2 != 0:
+            curves.append(Curve(b, c))
+    for m, trip in itertools.product((2, 6, 34, 35), itertools.combinations((3, 5, 7, 11), 3)):
+        curves.append(build_family_curve(FamilyParams(m, *trip)))
+    with_y = 0
+    for curve in curves:
+        found = integral_torsion_candidates(curve)
+        assert found == _unfiltered_candidates(curve), curve
+        with_y += sum(p.y != 0 for p in found)
+    assert with_y >= 100  # the filter was tested on y that do give points
 
 
 def test_torsion_trivial_on_full_parameter_grid():
