@@ -6,8 +6,10 @@ what makes the record files byte-reproducible.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import gcd, isqrt, prod
 
 from .errors import FactorizationIncomplete
@@ -21,22 +23,19 @@ _MR_EXTRA = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 _SIEVE_LIMIT = 1 << 16
-_small_primes_cache: list[int] | None = None
 
 _TRIAL_BLOCK = 64  # consecutive small primes per gcd test in factorize
 
 
+@cache
 def small_primes() -> list[int]:
     """Primes below 2^16, sieved once and cached."""
-    global _small_primes_cache
-    if _small_primes_cache is None:
-        sieve = bytearray([1]) * _SIEVE_LIMIT
-        sieve[0] = sieve[1] = 0
-        for i in range(2, isqrt(_SIEVE_LIMIT) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        _small_primes_cache = [i for i in range(_SIEVE_LIMIT) if sieve[i]]
-    return _small_primes_cache
+    sieve = bytearray([1]) * _SIEVE_LIMIT
+    sieve[0] = sieve[1] = 0
+    for i in range(2, isqrt(_SIEVE_LIMIT) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    return [i for i in range(_SIEVE_LIMIT) if sieve[i]]
 
 
 @cache
@@ -74,14 +73,18 @@ def is_prime(n: int) -> bool:
 
 
 def primes_from(start: int):
-    """Yield primes >= start in increasing order, indefinitely."""
-    n = max(2, start)
-    if n > 2 and n % 2 == 0:
-        n += 1
+    """Yield primes >= start in increasing order, indefinitely.
+
+    Below 2^16 they come from the sieve in small_primes(), with no
+    primality test; from 2^16 on, each odd candidate is tested by is_prime.
+    """
+    primes = small_primes()
+    yield from islice(primes, bisect_left(primes, start), None)
+    n = max(start, _SIEVE_LIMIT) | 1
     while True:
         if is_prime(n):
             yield n
-        n += 1 if n == 2 else 2
+        n += 2
 
 
 def _pollard_rho(n: int, budget: int) -> int:

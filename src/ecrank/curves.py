@@ -172,12 +172,3 @@ def _scalar_mul_raw(curve: Curve, n: int, p: Point) -> Point:
         addend = _add_raw(curve, addend, addend)
         n >>= 1
     return result
-
-
-def duplication_x(curve: Curve, x: Fraction) -> Fraction:
-    """x-coordinate of 2P as a function of x(P) alone (y eliminated via the
-    curve equation); denominator 4(x^3 + bx + c) must be nonzero."""
-    x = Fraction(x)
-    num = (x * x - curve.b) ** 2 - 8 * curve.c * x
-    den = 4 * curve.rhs(x)
-    return num / den

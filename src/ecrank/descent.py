@@ -16,22 +16,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from . import polys
-from .arith import rational_sqrt
+from .arith import exact_sqrt, rational_sqrt
 from .curves import INFINITY, Curve, Point, _add_raw, add, is_on_curve
 from .errors import InconsistentCertificate, InfinityTarget, PointNotOnCurve
 from .family import (
     CanonicalPoints,
     FamilyParams,
     HypothesisReport,
-    _canonical_points,
     build_family_curve,
+    canonical_points,
     validate_hypotheses,
 )
 from .torsion import TorsionReport, nagell_lutz_torsion
-from .torsion import two_torsion_points  # noqa: F401  re-exported
 
 
 def halving_quartic(curve: Curve, target: Point) -> tuple[int, int, int, int, int]:
@@ -234,10 +233,6 @@ class RankCertificate:
     probe_points: tuple[ProbePoint, ...] = ()
 
     @property
-    def hypotheses_all_ok(self) -> bool:
-        return self.hypotheses.all_ok
-
-    @property
     def torsion_trivial(self) -> bool:
         return self.torsion.is_trivial
 
@@ -272,7 +267,7 @@ def rank_ge2_certificate(params: FamilyParams, num_primes: int = 5) -> RankCerti
     """Run the full torsion + three-class pipeline for one parameter set."""
     curve = build_family_curve(params)
     torsion = nagell_lutz_torsion(curve, params, num_primes)
-    pts = _canonical_points(curve, params)
+    pts = canonical_points(params)
     base = class_is_nonzero(curve, pts.base, params)
     shifted = class_is_nonzero(curve, pts.shifted, params)
     combined = class_is_nonzero(curve, pts.combined, params)
@@ -319,16 +314,16 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
     pairs visits each x once.  Clearing denominators, rhs(u/w^2) =
     F(u)/w^6 with F(u) = u^3 + b w^4 u + c w^6, and F(u) = u^3 (mod w) is
     prime to w, so rhs(x) is a rational square exactly when F(u) is a
-    perfect square, and then y = isqrt(F(u))/w^3.
+    perfect square, and then y = sqrt(F(u))/w^3.
 
-    Before isqrt, a ratpoints-style sieve (M. Stoll) strikes out every u
-    whose F(u) is a non-residue modulo 16 or a small odd prime.  For each
-    modulus n, the residues that pass form an n-bit mask, tiled by doubling
-    once per w.  A block of numerators from `start` is one integer whose
-    bit i stands for u = start + i; it is ANDed with each tile shifted
-    right by start mod n, and the set bits left are walked in its binary
-    digits.  The sieve only filters: each survivor is confirmed by isqrt,
-    so the result does not depend on the moduli.
+    Before any square root, a ratpoints-style sieve (M. Stoll) strikes out
+    every u whose F(u) is a non-residue modulo 16 or a small odd prime.
+    For each modulus n, the residues that pass form an n-bit mask, tiled by
+    doubling once per w.  A block of numerators from `start` is one integer
+    whose bit i stands for u = start + i; it is ANDed with each tile
+    shifted right by start mod n, and the set bits left are walked in its
+    binary digits.  The sieve only filters: each survivor is confirmed by
+    exact_sqrt, so the result does not depend on the moduli.
     """
     found: list[Point] = []
     for w in range(1, den_bound + 1):
@@ -355,9 +350,9 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
             while j >= 0:
                 u = top - j
                 f = u * u * u + bw4 * u + cw6
-                if f >= 0 and gcd(u, w) == 1:
-                    s = isqrt(f)
-                    if s * s == f:
+                if gcd(u, w) == 1:
+                    s = exact_sqrt(f)
+                    if s is not None:
                         found.append(Point(Fraction(u, w2), Fraction(s, w2 * w)))
                 j = digits.find("1", j + 1)
     return sorted(found, key=lambda p: (p.x, p.y))

@@ -102,11 +102,7 @@ def canonical_points(params: FamilyParams) -> CanonicalPoints:
     rank certificate needs, and [P] = [-P] there, so the sign of the
     y-coordinate never matters downstream.
     """
-    return _canonical_points(build_family_curve(params), params)
-
-
-def _canonical_points(curve: Curve, params: FamilyParams) -> CanonicalPoints:
-    """canonical_points on a curve the caller has already built."""
+    curve = build_family_curve(params)
     base = Point(0, params.pqr)
     shifted = Point(params.m, params.pqr)
     combined = add(curve, base, shifted)

@@ -20,10 +20,10 @@ the homogenized polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice, takewhile
+from itertools import takewhile
 from math import gcd
 
-from .arith import primes_from, small_primes
+from .arith import primes_from
 
 # integer_roots lifts the roots of its input itself when some odd prime
 # below this one shows them all simple, and takes the radical only if none does.
@@ -193,12 +193,6 @@ def _roots_mod(coeffs, p: int) -> list[int]:
     return [r for r, v in enumerate(values) if v == 0]
 
 
-def _odd_primes():
-    """3, 5, 7, 11, ... indefinitely."""
-    yield from islice(small_primes(), 1, None)
-    yield from primes_from(1 << 16)
-
-
 def _simple_roots_mod(coeffs, primes):
     """(p, residues) for the first p in `primes` where every root of coeffs
     mod p is simple, or None when each p shows a repeated root."""
@@ -236,10 +230,10 @@ def integer_roots(coeffs) -> list[int]:
     # not divide its discriminant.  A prime dividing lead serves too: a
     # simple root mod p lifts uniquely whatever lead is.
     poly = cs
-    found = _simple_roots_mod(cs, takewhile(lambda p: p < _RADICAL_AFTER, _odd_primes()))
+    found = _simple_roots_mod(cs, takewhile(lambda p: p < _RADICAL_AFTER, primes_from(3)))
     if found is None:
         poly = squarefree_part(cs)
-        found = _simple_roots_mod(poly, _odd_primes())  # the stream is infinite
+        found = _simple_roots_mod(poly, primes_from(3))  # the stream is infinite
     p, residues = found
     if not residues or any(q > p and not _roots_mod(poly, q) for q in _NO_ROOT_PRIMES):
         return sorted(roots)

@@ -59,10 +59,12 @@ class SweepSpec:
     output_format: str = "jsonl"  # "jsonl" | "csv"
 
     def __post_init__(self):
-        if not self.prime_pool:
-            raise ValueError("prime pool must not be empty")
-        if len(self.prime_pool) < 3:
-            raise ValueError("prime pool needs at least three primes")
+        if not self.m_values or min(self.m_values) < 1:
+            raise ValueError(f"m values must be positive integers, got {list(self.m_values)}")
+        if len(set(self.prime_pool)) < 3:
+            raise ValueError("prime pool needs at least three distinct primes")
+        if self.num_reduction_primes < 1:
+            raise ValueError("the number of reduction primes must be at least 1")
         if self.output_format not in ("jsonl", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         _check_probe_bounds(self.height_bound, self.den_bound)
@@ -241,7 +243,7 @@ def record_to_csv_row(record: dict) -> str:
 
 def canonical_comparable(record: dict) -> str:
     """Serialized form with the timings field removed; equality of these
-    strings is what recheck and the determinism tests assert."""
+    strings is what recheck_diff decides and the determinism tests assert."""
     stripped = {k: v for k, v in record.items() if k != "timings"}
     return json.dumps(stripped, separators=(",", ":"), sort_keys=False)
 
@@ -281,7 +283,10 @@ def recheck_diff(record: dict) -> str | None:
     None when the recomputation reproduces the record exactly (timings
     aside); otherwise the cause: the JSON path of the first field that
     differs, such as "torsion.reduction_counts[2][1]", or
-    "exception: <Class>" when the record cannot be rebuilt at all.
+    "exception: <Class>" when the record cannot be rebuilt at all.  One
+    walk over both records decides this, without serializing either.  It
+    checks types, key order and lengths as well as values, so `true`
+    against `1`, or reordered keys, differ here as in the serialized lines.
     """
     try:
         params = params_from_record(record)
@@ -295,11 +300,9 @@ def recheck_diff(record: dict) -> str | None:
         )
     except Exception as exc:  # a malformed record is a failed recheck, never a crash
         return f"exception: {type(exc).__name__}"
-    if canonical_comparable(fresh) == canonical_comparable(record):
-        return None
     stored = {k: v for k, v in record.items() if k != "timings"}
     fresh = {k: v for k, v in fresh.items() if k != "timings"}
-    return _first_difference(stored, fresh, "") or "record"
+    return _first_difference(stored, fresh, "")
 
 
 def recheck_record(record: dict) -> bool:

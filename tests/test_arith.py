@@ -41,6 +41,24 @@ def test_primes_from():
     assert [next(gen) for _ in range(6)] == [3, 5, 7, 11, 13, 17]
 
 
+def _trial_division_primes_from(start):
+    n = max(2, start)
+    while True:
+        if all(n % d for d in range(2, int(n**0.5) + 1)):
+            yield n
+        n += 1
+
+
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 101, 65520, 65521, 65536, 65537, 65538])
+def test_primes_from_across_the_sieve_limit(start):
+    # the sieve covers [2, 2^16); from 2^16 on the stream tests candidates
+    ours, oracle = primes_from(start), _trial_division_primes_from(start)
+    got = [next(ours) for _ in range(12)]
+    assert got == [next(oracle) for _ in range(12)]
+    if start >= 65520:
+        assert got[-1] > 1 << 16
+
+
 def test_factorize_roundtrip_random():
     rng = random.Random(7)
     for _ in range(200):

@@ -16,12 +16,12 @@ from ecrank.descent import (
     rank_ge2_certificate,
     rank_ge3_probe,
     search_points,
-    two_torsion_points,
 )
 from ecrank.errors import InfinityTarget, PointNotOnCurve
 from ecrank.family import FamilyParams, build_family_curve, canonical_points
 from ecrank import polys
 from ecrank.records import SweepSpec, build_curve_record
+from ecrank.torsion import two_torsion_points
 
 M2_PARAMS = FamilyParams(2, 3, 7, 11)
 M2_CURVE = build_family_curve(M2_PARAMS)
@@ -158,7 +158,7 @@ def test_rank_certificate_worked_example():
     cert = rank_ge2_certificate(M2_PARAMS)
     assert cert.rank_lower_bound == 2
     assert cert.torsion_trivial and cert.classes_distinct
-    assert cert.hypotheses_all_ok
+    assert cert.hypotheses.all_ok
     assert cert.class_base.congruence is not None
 
 
@@ -166,7 +166,7 @@ def test_rank_certificate_outside_hypotheses_still_two():
     """m = 6 fails both congruence hypotheses, so the replay route is
     unavailable; the halving route alone still certifies rank >= 2."""
     cert = rank_ge2_certificate(FamilyParams(6, 5, 7, 11))
-    assert not cert.hypotheses_all_ok
+    assert not cert.hypotheses.all_ok
     assert cert.class_base.congruence is None
     assert cert.rank_lower_bound == 2
 

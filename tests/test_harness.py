@@ -364,6 +364,44 @@ def test_recheck_diff_names_the_cause():
     assert recheck_diff(tampered) == "rank.classes.base.quartic[4]"
 
 
+def test_recheck_diff_is_exact_where_dict_equality_is_not():
+    # each tampering leaves the record dict-equal to the one recheck
+    # reproduces, yet changes its serialization, so it must be named
+    rec = json.loads(record_to_line(_fast_record()))
+    seeded = json.loads(GRID_SEED.read_text().splitlines()[21])  # (66, 3, 5, 11), probed
+
+    def tamper(record, change):
+        tampered = json.loads(record_to_line(record))
+        change(tampered)
+        assert tampered == record
+        return recheck_diff(tampered)
+
+    assert rec["rank"]["torsion_trivial"] is True
+    assert tamper(rec, lambda t: t["rank"].update(torsion_trivial=1)) == "rank.torsion_trivial"
+    assert tamper(rec, lambda t: t.update(schema=1.0)) == "schema"
+    reordered = lambda t: t.update(params=dict(reversed(t["params"].items())))
+    assert tamper(rec, reordered) == "params.r"
+    assert seeded["probe"]["points"][0]["classes"]["c_combined"]["nonzero"] is False
+    zeroed = lambda t: t["probe"]["points"][0]["classes"]["c_combined"].update(nonzero=0)
+    assert tamper(seeded, zeroed) == "probe.points[0].classes.c_combined.nonzero"
+
+
+@pytest.mark.parametrize("options", [
+    ["--m-list", "", "--prime-pool", "3,5,7"],
+    ["--m-list", "", "--prime-pool", "3,5,7", "--format", "csv"],
+    ["--m-list", "2", "--prime-pool", "3,3,5"],
+    ["--m-list", "2", "--prime-pool", "3,3,5", "--format", "csv"],
+    ["--m-list", "0,2", "--prime-pool", "3,5,7"],
+    ["--m-list", "2", "--prime-pool", "3,5,7", "--reduction-primes", "0"],
+], ids=["no-m", "no-m-csv", "two-distinct-primes", "two-distinct-primes-csv", "m-zero",
+        "no-reduction-primes"])
+def test_cli_sweep_rejects_empty_or_bad_spec_before_writing(tmp_path, capsys, options):
+    out = tmp_path / "out"
+    assert main(["sweep", *options, "--no-probe", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_recheck_prints_cause(tmp_path, capsys):
     rec = json.loads(record_to_line(_fast_record()))
     rec["rank"]["classes"]["shifted"]["nonzero"] = False

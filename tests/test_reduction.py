@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from ecrank.curves import Curve
-from ecrank.errors import BadReduction, NotPrime
+from ecrank import arith
+from ecrank.arith import is_prime
+from ecrank.curves import Curve, discriminant
+from ecrank.errors import BadReduction, NotPrime, SingularCurve
 from ecrank.family import FamilyParams, build_family_curve
 from ecrank.reduction import (
     count_points,
@@ -102,3 +104,32 @@ def test_good_odd_primes():
     assert good_odd_primes(Curve(-1, 0), 3) == [3, 5, 7]  # delta = 64
     assert good_odd_primes(Curve(0, 1), 2) == [5, 7]  # delta = -432 kills 3
     assert 2 not in good_odd_primes(M2_CURVE, 10)
+
+
+def _miller_rabin_good_odd_primes(curve, count):
+    """good_odd_primes over a stream that tests every odd number >= 3 by
+    is_prime, as it was before primes_from drew on the sieve."""
+    out, delta, n = [], discriminant(curve), 3
+    while len(out) < count:
+        if is_prime(n) and delta % n != 0:
+            out.append(n)
+        n += 2
+    return out
+
+
+def test_good_odd_primes_matches_miller_rabin_stream(monkeypatch):
+    rng = random.Random(8)
+    curves = []
+    while len(curves) < 200:
+        scale = rng.choice([1, 3 * 5 * 7, 3 * 5 * 7 * 11 * 13 * 17 * 19])
+        b, c = (scale * rng.randint(-10**6, 10**6) for _ in range(2))
+        try:
+            curves.append(Curve(b, c))
+        except SingularCurve:
+            continue
+    counts = [rng.randint(1, 12) for _ in curves]
+    expected = [_miller_rabin_good_odd_primes(c, k) for c, k in zip(curves, counts)]
+    calls = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert [good_odd_primes(c, k) for c, k in zip(curves, counts)] == expected
+    assert calls == []  # every prime came from the sieve
