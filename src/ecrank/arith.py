@@ -14,12 +14,14 @@ from math import gcd, isqrt, prod
 
 from .errors import FactorizationIncomplete
 
-# Witnesses proven sufficient for every n below 3.3 * 10**24
-# (Sorenson-Webster).  Inputs above that bound get the same witnesses plus
-# the extra ones below; for this toolkit's desk-scale use the bound is never
+# The first 13 primes as witnesses are proven sufficient for every n below
+# psi_13 = 3317044064679887385961981 (Sorenson-Webster); the first 12 are
+# not, since psi_12 = 318665857834031151167461 is a strong pseudoprime to
+# every prime base up to 37.  Inputs from psi_13 up get the extra witnesses
+# below too; for this toolkit's desk-scale use the bound is never
 # approached by anything whose primality actually matters.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_EXTRA = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXTRA = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 _SIEVE_LIMIT = 1 << 16
@@ -58,7 +60,7 @@ def _mr_witness_says_composite(a: int, n: int, d: int, s: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin, deterministic below 3.3e24 by the fixed witness set."""
+    """Miller-Rabin, deterministic below psi_13 (3.3e24) by the fixed witness set."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:

@@ -3,7 +3,12 @@
 The workhorse is exact point halving.  For a target T = (t, *) the
 x-coordinates of every R with 2R = T are the roots of a quartic with
 integer coefficients, so rational root extraction plus an exact square
-test decides T in 2E(Q) unconditionally.  With trivial torsion, E(Q)/2E(Q)
+test decides T in 2E(Q) unconditionally.  A sieve comes first: modulo a
+small prime q of good reduction not dividing the denominator of x(T),
+x(T) must be x(2R) for a point R over F_q or over its quadratic twist.
+A residue outside that per-curve set at one such q proves the quartic
+has no rational root, so most targets never reach root extraction.
+With trivial torsion, E(Q)/2E(Q)
 is an elementary abelian 2-group of order 2^rank; exhibiting enough
 independent nonzero classes therefore bounds the rank from below.
 
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import polys
@@ -61,6 +67,38 @@ def halving_quartic(curve: Curve, target: Point) -> tuple[int, int, int, int, in
     return tuple(polys.primitive_part(raw))  # type: ignore[return-value]
 
 
+# Odd primes for the halving sieve in _halve, each with the inverses of
+# 4a mod q for a = 1, ..., q - 1 (entry 0 unused).
+_HALVING_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+_QUARTER_INVERSES = {
+    q: (0, *(pow(4 * a, -1, q) for a in range(1, q))) for q in _HALVING_SIEVE_PRIMES
+}
+
+
+@lru_cache(maxsize=1)
+def _doubled_x_residues(b: int, c: int) -> tuple[tuple[int, bytes], ...]:
+    """(q, table) for each q in _HALVING_SIEVE_PRIMES not dividing the
+    discriminant: table[t] is 1 when t = N(x) / (4 f(x)) mod q for some
+    residue x with f(x) != 0, where f = x^3 + bx + c and
+    N = (x^2 - b)^2 - 8cx, so that x(2R) = N(x) / (4 f(x)) at x(R) = x.
+
+    One curve's tables serve all its halvings, so the last curve's are kept.
+    """
+    tables = []
+    for q in _HALVING_SIEVE_PRIMES:
+        bq, cq = b % q, c % q
+        if (4 * bq**3 + 27 * cq * cq) % q == 0:
+            continue
+        inverses = _QUARTER_INVERSES[q]
+        table = bytearray(q)
+        for x in range(q):
+            fx = (x * x * x + bq * x + cq) % q
+            if fx:
+                table[((x * x - bq) ** 2 - 8 * cq * x) * inverses[fx] % q] = 1
+        tables.append((q, bytes(table)))
+    return tuple(tables)
+
+
 def _halve(curve: Curve, target: Point):
     """(quartic, its rational roots, the halves of target).
 
@@ -69,8 +107,20 @@ def _halve(curve: Curve, target: Point):
     root extraction is complete; each root is lifted to y by an exact
     square test and kept only when double(R) reproduces the target
     exactly.
+
+    A sieve mod small primes runs first.  The quartic is td N(x) - 4 tn f(x)
+    for t = tn/td, with N and f as in _doubled_x_residues.  Take a prime q
+    that divides neither td nor the discriminant.  A rational root has a
+    denominator dividing td, so it reduces to a residue x mod q.  There
+    f(x) != 0, since f(x) = 0 would force N(x) = f'(x)^2 = 0 and a double
+    root of f mod q.  So t = N(x) / (4 f(x)) mod q, and a t outside that
+    set at one such q leaves the quartic with no rational root.
     """
     quartic = halving_quartic(curve, target)
+    tn, td = target.x.numerator, target.x.denominator
+    for q, table in _doubled_x_residues(curve.b, curve.c):
+        if td % q and not table[tn * pow(td, -1, q) % q]:
+            return quartic, (), []
     roots = tuple(polys.rational_roots(list(quartic)))
     halves: list[Point] = []
     for x in roots:

@@ -193,6 +193,19 @@ def _roots_mod(coeffs, p: int) -> list[int]:
     return [r for r, v in enumerate(values) if v == 0]
 
 
+def _has_root_mod(coeffs, p: int) -> bool:
+    """Whether coeffs has a root mod p: Horner at one residue after
+    another, stopping at the first root."""
+    reduced = [c % p for c in reversed(coeffs)]
+    for r in range(p):
+        acc = 0
+        for c in reduced:
+            acc = (acc * r + c) % p
+        if not acc:
+            return True
+    return False
+
+
 def _simple_roots_mod(coeffs, primes):
     """(p, residues) for the first p in `primes` where every root of coeffs
     mod p is simple, or None when each p shows a repeated root."""
@@ -235,7 +248,7 @@ def integer_roots(coeffs) -> list[int]:
         poly = squarefree_part(cs)
         found = _simple_roots_mod(poly, primes_from(3))  # the stream is infinite
     p, residues = found
-    if not residues or any(q > p and not _roots_mod(poly, q) for q in _NO_ROOT_PRIMES):
+    if not residues or any(q > p and not _has_root_mod(poly, q) for q in _NO_ROOT_PRIMES):
         return sorted(roots)
     dpoly = derivative(poly)
     bound = 2 + max(abs(c) for c in poly[:-1]) // abs(poly[-1])  # Cauchy bound, rounded up

@@ -253,28 +253,41 @@ def params_from_record(record: dict) -> FamilyParams:
     return FamilyParams(int(p["m"]), int(p["p"]), int(p["q"]), int(p["r"]))
 
 
-def _first_difference(stored, fresh, path: str) -> str | None:
-    """JSON path of the first place where stored and fresh differ, in
-    serialization order; None when they serialize identically."""
+def _first_difference(stored, fresh) -> list | None:
+    """Steps to the first place where stored and fresh differ, in
+    serialization order, innermost first: a string per object key and an
+    int per list index.  None when they serialize identically.  The steps
+    are collected only on the way back from a difference."""
     if type(stored) is not type(fresh):
-        return path
+        return []
     if isinstance(stored, dict):
         for key, fresh_key in zip_longest(stored, fresh):  # keys are strings, never None
-            name = key if key is not None else fresh_key
-            sub = f"{path}.{name}" if path else name
             if key != fresh_key:
-                return sub
-            found = _first_difference(stored[key], fresh[key], sub)
+                return [key if key is not None else fresh_key]
+            found = _first_difference(stored[key], fresh[key])
             if found is not None:
+                found.append(key)
                 return found
         return None
     if isinstance(stored, list):
         for i, (a, b) in enumerate(zip(stored, fresh)):
-            found = _first_difference(a, b, f"{path}[{i}]")
+            found = _first_difference(a, b)
             if found is not None:
+                found.append(i)
                 return found
-        return None if len(stored) == len(fresh) else f"{path}[{min(len(stored), len(fresh))}]"
-    return None if stored == fresh else path
+        return None if len(stored) == len(fresh) else [min(len(stored), len(fresh))]
+    return None if stored == fresh else []
+
+
+def _json_path(steps: list) -> str:
+    """JSON path such as a.b[2].c from the steps of _first_difference."""
+    path = ""
+    for step in reversed(steps):
+        if isinstance(step, int):
+            path = f"{path}[{step}]"
+        else:
+            path = f"{path}.{step}" if path else step
+    return path
 
 
 def recheck_diff(record: dict) -> str | None:
@@ -302,7 +315,8 @@ def recheck_diff(record: dict) -> str | None:
         return f"exception: {type(exc).__name__}"
     stored = {k: v for k, v in record.items() if k != "timings"}
     fresh = {k: v for k, v in fresh.items() if k != "timings"}
-    return _first_difference(stored, fresh, "")
+    steps = _first_difference(stored, fresh)
+    return None if steps is None else _json_path(steps)
 
 
 def recheck_record(record: dict) -> bool:

@@ -27,6 +27,16 @@ def test_is_prime_rejects_carmichael_and_strong_pseudoprimes():
     assert not is_prime(341550071728321)
 
 
+def test_is_prime_rejects_psi_12_and_psi_13():
+    # psi_12 is a strong pseudoprime to every prime base up to 37, psi_13 to
+    # every prime base up to 41: the smallest such numbers (Sorenson-Webster)
+    psi_12 = 318665857834031151167461
+    psi_13 = 3317044064679887385961981
+    assert not is_prime(psi_12)
+    assert not is_prime(psi_13)
+    assert factorize(psi_12) == {399165290221: 1, 798330580441: 1}
+
+
 def test_is_prime_large():
     assert is_prime(2**31 - 1)
     assert is_prime(1_000_000_007)

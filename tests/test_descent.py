@@ -423,3 +423,56 @@ def test_halving_round_trip_fuzz():
         for r in halves:
             assert double(curve, r) == target
         checked += 1
+
+
+def _unsieved_halve(curve, target):
+    """descent._halve without its sieve: root extraction on every quartic,
+    each root lifted to the points over it that double to the target."""
+    quartic = halving_quartic(curve, target)
+    roots = tuple(polys.rational_roots(list(quartic)))
+    halves = set()
+    for x in roots:
+        y = rational_sqrt(curve.rhs(x))
+        if y is not None:
+            halves |= {r for r in (Point(x, y), Point(x, -y)) if double(curve, r) == target}
+    return quartic, roots, sorted(halves, key=lambda p: (p.x, p.y))
+
+
+def _halving_targets(curve, points):
+    """Each point, each pairwise sum and the double of each: targets with
+    halves, and targets whose x-denominators carry small primes."""
+    sums = [add(curve, p, q) for i, p in enumerate(points) for q in points[i:]]
+    return [t for t in (*points, *sums, *(double(curve, s) for s in sums)) if not t.is_infinity]
+
+
+def test_halving_sieve_matches_unsieved_route():
+    """_halve decides most quartics mod small primes before root
+    extraction; it must return what root extraction alone returns."""
+    rng = random.Random(9)
+    curves = []
+    for _ in range(8):  # family curves, with 3 | m and 5 | m among them
+        m = rng.choice([rng.randrange(1, 400), 3 * rng.randrange(1, 60), 15 * rng.randrange(1, 20)])
+        params = FamilyParams(m, *sorted(rng.sample([3, 5, 7, 11, 13, 17, 19], 3)))
+        curves.append((build_family_curve(params), list(canonical_points(params))))
+    # x(2 base) = m^4 / (2pqr)^2 is divisible by 3 or 5, where these curves are singular
+    for m, trip in ((6, (3, 5, 7)), (30, (3, 5, 11)), (15, (5, 7, 13))):
+        params = FamilyParams(m, *trip)
+        curves.append((build_family_curve(params), list(canonical_points(params))))
+    while len(curves) < 24:  # rational 2-torsion at x = e, off the family
+        e, b = rng.randrange(-12, 13), rng.randrange(-40, 41)
+        c = -e * e * e - b * e
+        if 4 * b**3 + 27 * c * c == 0:
+            continue
+        curve = Curve(b, c)
+        curves.append((curve, [Point(e, 0), *search_points(curve, 30)[:3]]))
+    seen = {"halves": 0, "bad 3 or 5 with halves": 0, "3 | td": 0, "5 | td": 0, "7 | td": 0}
+    for curve, points in curves:
+        bad = {q for q in (3, 5) if (4 * curve.b**3 + 27 * curve.c**2) % q == 0}
+        for target in _halving_targets(curve, points):
+            sieved = descent._halve(curve, target)
+            assert sieved == _unsieved_halve(curve, target), (curve, target)
+            seen["halves"] += bool(sieved[2])
+            seen["bad 3 or 5 with halves"] += bool(sieved[2] and bad)
+            for q in (3, 5, 7):
+                seen[f"{q} | td"] += target.x.denominator % q == 0
+    assert min(seen.values()) > 0, seen

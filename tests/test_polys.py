@@ -283,3 +283,16 @@ def test_no_root_primes_match_fraction_euclid():
         assert found == _oracle_rational_roots(p), p
         with_roots += bool(found)
     assert with_roots >= 100
+
+
+def test_has_root_mod_matches_full_residue_scan():
+    """The no-root test stops at the first root; it must agree with the
+    scan of every residue, with or without a root, and with huge or
+    negative coefficients."""
+    rng = random.Random(12)
+    for _ in range(300):
+        p = [rng.randint(-(10**30), 10**30) for _ in range(rng.randint(2, 6))]
+        if rng.random() < 0.5:
+            p = polys.mul(p, [-rng.randint(-50, 50), 1])  # a root mod every prime
+        for q in polys._NO_ROOT_PRIMES:
+            assert polys._has_root_mod(p, q) == bool(polys._roots_mod(p, q)), (p, q)
