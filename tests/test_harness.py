@@ -1,11 +1,15 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
 from pathlib import Path
 
 import pytest
 
 from ecrank.cli import main
-from ecrank.errors import SweepResumeMismatch
+from ecrank import records
+from ecrank.errors import FactorizationIncomplete, SweepResumeMismatch, SweepWorkerDied
 from ecrank.family import FamilyParams
 from ecrank.records import (
     CSV_HEADER,
@@ -20,6 +24,10 @@ from ecrank.records import (
 )
 
 FAST = dict(reduction_primes=3, probe=False, height_bound=0, den_bound=1)
+
+# ten fast combos, m = 2 over the triples of five primes
+STRIDED = dict(m_values=(2,), prime_pool=(3, 5, 7, 11, 13), probe=False, height_bound=0,
+               num_reduction_primes=3)
 
 GRID_SEED = Path(__file__).resolve().parents[1] / "bench" / "data" / "grid_seed.jsonl"
 
@@ -142,6 +150,7 @@ def test_sweep_example_grid():
         assert rec["rank"]["rank_lower_bound"] >= 2
 
 
+@pytest.mark.usefixtures("time_bound")
 def test_sweep_threads_match_serial():
     spec = SweepSpec(
         m_values=(2,),
@@ -413,3 +422,111 @@ def test_cli_recheck_prints_cause(tmp_path, capsys):
         "record 1: MISMATCH (exception: KeyError)",
         "recheck: false",
     ]
+
+
+def _comparable(path):
+    return [canonical_comparable(json.loads(ln)) for ln in path.read_text().splitlines()]
+
+
+@pytest.fixture
+def time_bound():
+    """Fail a multiprocess sweep test that hangs, instead of waiting on it."""
+    def expire(signum, frame):
+        raise TimeoutError("the sweep did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("time_bound")
+def test_sweep_resume_after_torn_line_with_two_threads(tmp_path):
+    full, torn = tmp_path / "full.jsonl", tmp_path / "torn.jsonl"
+    run_sweep(SweepSpec(**STRIDED, output_path=str(full)))
+    lines = full.read_text().splitlines(keepends=True)
+    assert len(lines) == 10
+    torn.write_text("".join(lines[:3]) + lines[3][: len(lines[3]) // 2])
+    resumed = run_sweep(SweepSpec(**STRIDED, output_path=str(torn)), threads=2)
+    assert len(resumed) == 7
+    assert _comparable(torn) == _comparable(full)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.usefixtures("time_bound")
+def test_sweep_csv_two_threads_byte_identical(tmp_path):
+    serial, strided = tmp_path / "serial.csv", tmp_path / "strided.csv"
+    run_sweep(SweepSpec(**STRIDED, output_format="csv", output_path=str(serial)))
+    run_sweep(SweepSpec(**STRIDED, output_format="csv", output_path=str(strided)), threads=2)
+    assert strided.read_bytes() == serial.read_bytes()
+    assert len(serial.read_text().splitlines()) == 11
+
+
+@pytest.mark.usefixtures("time_bound")
+def test_sweep_progress_in_combo_order_with_two_threads():
+    calls = []
+    lines = run_sweep(SweepSpec(**STRIDED), threads=2, progress=lambda *a: calls.append(a))
+    assert calls == [(i, 10) for i in range(1, 11)]
+    assert len(lines) == 10
+
+
+@pytest.mark.usefixtures("time_bound")
+@pytest.mark.parametrize("failing", [3, 4], ids=["worker-stride", "caller-stride"])
+def test_sweep_raises_a_workers_exception_at_its_turn(tmp_path, monkeypatch, failing):
+    """With two processes, combo 3 is the forked worker's and combo 4 the
+    caller's: either way the sweep raises that combo's exception once the
+    records before it are written, and leaves no process behind."""
+    combos = SweepSpec(**STRIDED).combos()
+    build = records.build_curve_record
+
+    def build_or_fail(params, **opts):
+        if (params.m, params.p, params.q, params.r) == combos[failing]:
+            raise FactorizationIncomplete(f"no factors of {params}")
+        return build(params, **opts)
+
+    monkeypatch.setattr(records, "build_curve_record", build_or_fail)  # forked workers inherit it
+    out = tmp_path / "sweep.jsonl"
+    with pytest.raises(FactorizationIncomplete, match="no factors") as raised:
+        run_sweep(SweepSpec(**STRIDED, output_path=str(out)), threads=2)
+    if failing % 2:  # the worker's traceback comes along as the cause
+        assert "in build_or_fail" in str(raised.value.__cause__)
+    written = [json.loads(ln)["params"] for ln in out.read_text().splitlines()]
+    assert written == [dict(zip("mpqr", map(str, c))) for c in combos[:failing]]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.usefixtures("time_bound")
+def test_sweep_raises_when_a_worker_dies_without_sending(tmp_path, monkeypatch):
+    combos = SweepSpec(**STRIDED).combos()
+    caller, build = os.getpid(), records.build_curve_record
+
+    def build_or_exit(params, **opts):
+        if os.getpid() != caller and (params.m, params.p, params.q, params.r) == combos[5]:
+            os._exit(3)
+        return build(params, **opts)
+
+    monkeypatch.setattr(records, "build_curve_record", build_or_exit)
+    out = tmp_path / "sweep.jsonl"
+    with pytest.raises(SweepWorkerDied, match="code 3"):
+        run_sweep(SweepSpec(**STRIDED, output_path=str(out)), threads=2)
+    assert len(out.read_text().splitlines()) == 5
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.usefixtures("time_bound")
+def test_sweep_starts_one_worker_per_extra_combo_at_most(monkeypatch):
+    # every multiprocessing context's Process starts through BaseProcess.start
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    spec = SweepSpec(**dict(STRIDED, m_values=(2, 34), prime_pool=(3, 5, 7)))
+    assert len(run_sweep(spec, threads=5)) == 2
+    assert len(started) == 1
+    assert run_sweep(spec, threads=1) and len(started) == 1
+    assert multiprocessing.active_children() == []
