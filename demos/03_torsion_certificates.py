@@ -46,7 +46,7 @@ for n in (2, 3, 5, 7):
     print(f"  order {n}: {word}")
 print()
 
-print("family-specific congruence replays (hypothesis-gated):")
+print("family-specific congruence obstructions (cited by hypothesis class; the residue facts are proven once in tier-1):")
 for n in (2, 3, 5, 7):
     v = congruence_obstruction(params, n)
     print(f"  order {n}: {v.status} -- {v.reason}")

@@ -27,6 +27,7 @@ _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 _SIEVE_LIMIT = 1 << 16
 
 _TRIAL_BLOCK = 64  # consecutive small primes per gcd test in factorize
+_RHO_BUDGET = 5_000_000  # Pollard rho iterations per composite before factorize gives up
 
 
 @cache
@@ -126,7 +127,7 @@ def _pollard_rho(n: int, budget: int) -> int:
     raise FactorizationIncomplete(f"rho parameter schedule exhausted on {n}")
 
 
-def factorize(n: int, rho_budget: int = 5_000_000) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
     Trial division by the sieved primes first, Pollard rho for what is left.
@@ -160,7 +161,7 @@ def factorize(n: int, rho_budget: int = 5_000_000) -> dict[int, int]:
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        d = _pollard_rho(m, rho_budget)
+        d = _pollard_rho(m, _RHO_BUDGET)
         stack.append(d)
         stack.append(m // d)
     return factors

@@ -13,9 +13,11 @@ is an elementary abelian 2-group of order 2^rank; exhibiting enough
 independent nonzero classes therefore bounds the rank from below.
 
 For the family curves there is a second, congruence-based route for the
-three canonical targets (x' = 0, m, -m) under m = 2 (mod 32); it is
-replayed and recorded as corroborating evidence whenever it applies, but
-every certificate rests on the halving route, which needs no hypotheses.
+three canonical targets (x' = 0, m, -m) under m = 2 (mod 32).  It is
+cited by hypothesis class; the residue facts are proven once in tier-1
+(tests/test_congruence_facts.py).  It is recorded as corroborating
+evidence whenever it applies, but every certificate rests on the halving
+route, which needs no hypotheses.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from .family import (
     HypothesisReport,
     build_family_curve,
     canonical_points,
+    in_hypothesis_class,
     validate_hypotheses,
 )
 from .torsion import TorsionReport, nagell_lutz_torsion
@@ -155,9 +158,30 @@ class CongruenceEvidence:
     detail: str
 
 
+# The paper's residue argument for each canonical target.  Each holds for
+# every m = 2 (mod 32) and every odd pqr: the proof test evaluates it once
+# over all the residues it depends on.
+_BASE_EVIDENCE = CongruenceEvidence(
+    "base",
+    32,
+    "x = 2k^2 with k even contradicts m^4 = 16 (mod 32); "
+    "all 16 odd residues k fail the cleared identity mod 32",
+)
+_SHIFTED_EVIDENCE = CongruenceEvidence(
+    "shifted",
+    4,
+    "4s + 3m = 2 (mod 4) for every s, never a perfect square",
+)
+_COMBINED_EVIDENCE = CongruenceEvidence(
+    "combined",
+    8,
+    "2s^4 - 2s(pqr)^2 - (pqr)^2 != 0 (mod 8) for every residue s",
+)
+
+
 def _congruence_route(params: FamilyParams, target: Point) -> CongruenceEvidence | None:
-    """Replay the residue obstruction when the target is canonical and
-    m = 2 (mod 32); None when the route does not apply.
+    """The residue obstruction for a canonical target when m is in the
+    hypothesis class; None when the route does not apply.
 
     base (x' = 0): 2C = base forces (x^2 + m^2)^2 = 8 x (pqr)^2, so
         x = 2k^2.  Even k collides with m^4 = 16 (mod 32); odd k makes the
@@ -170,43 +194,15 @@ def _congruence_route(params: FamilyParams, target: Point) -> CongruenceEvidence
         reduces mod 8 to 2s^4 - 2s(pqr)^2 - (pqr)^2, nonzero for every
         residue s.
     """
-    # Every test below is a congruence mod a divisor of 32, so m and pqr
-    # enter reduced mod 32 (and m^4 = 16 (mod 32) holds once m = 2).
-    m = params.m % 32
-    if m != 2 or target.is_infinity or target.x.denominator != 1:
+    if not in_hypothesis_class(params.m) or target.is_infinity or target.x.denominator != 1:
         return None
     x = target.x.numerator
-    if x not in (0, params.m, -params.m):
-        return None
-    d = params.pqr % 32
     if x == 0:
-        bad = [
-            k
-            for k in range(1, 32, 2)
-            if (16 * k**8 + m**4 + 8 * k**4 * m * m - 16 * k * k * d * d) % 32 == 0
-        ]
-        if bad:
-            return None
-        return CongruenceEvidence(
-            "base",
-            32,
-            "x = 2k^2 with k even contradicts m^4 = 16 (mod 32); "
-            "all 16 odd residues k fail the cleared identity mod 32",
-        )
+        return _BASE_EVIDENCE
     if x == params.m:
-        if all((4 * s + 3 * m) % 4 in (2, 3) for s in range(4)):
-            return CongruenceEvidence(
-                "shifted",
-                4,
-                "4s + 3m = 2 (mod 4) for every s, never a perfect square",
-            )
-        return None
-    if all((2 * s**4 - 2 * s * d * d - d * d) % 8 != 0 for s in range(8)):  # x == -m
-        return CongruenceEvidence(
-            "combined",
-            8,
-            "2s^4 - 2s(pqr)^2 - (pqr)^2 != 0 (mod 8) for every residue s",
-        )
+        return _SHIFTED_EVIDENCE
+    if x == -params.m:
+        return _COMBINED_EVIDENCE
     return None
 
 
@@ -235,7 +231,7 @@ def class_is_nonzero(
     curve: Curve, point: Point, params: FamilyParams | None = None
 ) -> ClassVerdict:
     """Decide [point] != 0 in E(Q)/2E(Q) by exhaustive halving, with the
-    congruence replay recorded too whenever it applies."""
+    congruence route recorded too whenever it applies."""
     if point.is_infinity:
         return ClassVerdict(point, False, None, None, (INFINITY,), None)
     quartic, roots, halves = _halve(curve, point)

@@ -19,6 +19,11 @@ from .errors import InconsistentCertificate, NotPrime, PrimeIsTwo, PrimesNotDist
 HYPOTHESIS_K = 5
 
 
+def in_hypothesis_class(m: int) -> bool:
+    """m = 2 (mod 2^HYPOTHESIS_K), the two-adic hypothesis on m."""
+    return m % (1 << HYPOTHESIS_K) == 2
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     m: int
@@ -73,7 +78,7 @@ def validate_hypotheses(params: FamilyParams) -> HypothesisReport:
     m = params.m
     return HypothesisReport(
         mod3_ok=m % 3 != 0,
-        mod2k_ok=m % (1 << HYPOTHESIS_K) == 2,
+        mod2k_ok=in_hypothesis_class(m),
         coprime_ok=all(m % v != 0 for v in (params.p, params.q, params.r)),
         primes_ok=True,
     )

@@ -33,7 +33,7 @@ from .descent import (
     rank_ge3_probe,
 )
 from .errors import NotPrime, PrimeIsTwo, SweepResumeMismatch, SweepWorkerDied
-from .family import FamilyParams
+from .family import HYPOTHESIS_K, FamilyParams, in_hypothesis_class
 from .torsion import TorsionReport
 
 SCHEMA_VERSION = 1
@@ -74,9 +74,11 @@ class SweepSpec:
             if not is_prime(p):
                 raise NotPrime(f"prime pool entry {p} is not prime")
         if self.require_hypotheses:
-            bad = [m for m in self.m_values if m % 32 != 2]
+            bad = [m for m in self.m_values if not in_hypothesis_class(m)]
             if bad:
-                raise ValueError(f"hypothesis mode requires m = 2 (mod 32); offending m: {bad}")
+                raise ValueError(
+                    f"hypothesis mode requires m = 2 (mod {1 << HYPOTHESIS_K}); offending m: {bad}"
+                )
 
     def combos(self) -> list[tuple[int, int, int, int]]:
         out = []

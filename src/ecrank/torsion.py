@@ -11,9 +11,11 @@
    prime orders a rational torsion point can have, so clearing all four
    already forces the group to be trivial.
 
-A fourth, family-specific route replays the congruence arguments that rule
-out each prime order under hypotheses on m mod 3 / 4 / 8; its verdicts are
-recorded alongside but certification never rests on it alone.
+A fourth, family-specific route gives the congruence arguments that rule
+out each prime order under hypotheses on m mod 3 / 4 / 8.  It is cited by
+hypothesis class; the residue facts are proven once in tier-1
+(tests/test_congruence_facts.py).  Its verdicts are recorded alongside,
+but certification never rests on it alone.
 """
 from __future__ import annotations
 
@@ -134,20 +136,23 @@ class ObstructionVerdict:
 
 
 def congruence_obstruction(params: FamilyParams, n: int) -> ObstructionVerdict:
-    """Replay the residue argument that rules out a point of exact order n.
+    """The residue argument that rules out a point of exact order n.
 
     order 2: an order-2 point is integral with y = 0, so its x divides
         (pqr)^2; all 54 signed divisor candidates are tested against the
         cubic.  No congruence hypothesis is involved.
     order 3: needs m != 0 (mod 3).  The quartic whose integer roots carry
-        3-torsion x-coordinates reduces mod 3 to the constant -m^4, checked
-        to be nonzero for every residue of x.
+        3-torsion x-coordinates reduces mod 3 to the constant -m^4, which
+        is nonzero for every residue of x.
     order 5: needs m = 2 (mod 4).  Both parity branches of the mod-4
-        reduction of the 4P = -P coordinate identity must close: even x
-        forces m = 0 (mod 4); odd x forces (1 + m^2)^8 = 0 (mod 4).
+        reduction of the 4P = -P coordinate identity close: even x forces
+        m = 0 (mod 4); odd x forces (1 + m^2)^8 = 0 (mod 4).
     order 7: needs m = 2 (mod 8).  Even x forces m = 0 (mod 4); odd x
         reduces the 6P = -P identity to a unit times
-        4(3 - m^2)^2 (1 + m^2)^6 + (1 + m^2)^8 mod 8, checked nonzero.
+        4(3 - m^2)^2 (1 + m^2)^6 + (1 + m^2)^8 mod 8, which is nonzero.
+
+    Orders 3, 5 and 7 are cited from the hypothesis alone: each residue
+    fact depends only on m mod 3, 4 or 8 and holds on the whole class.
     """
     m, d = params.m, params.pqr
     if n == 2:
@@ -163,32 +168,18 @@ def congruence_obstruction(params: FamilyParams, n: int) -> ObstructionVerdict:
     if n == 3:
         if m % 3 == 0:
             return ObstructionVerdict(3, HYPOTHESIS_NOT_MET, f"m = {m} is divisible by 3")
-        quartic = [-(m**4), 12 * d * d, -6 * m * m, 0, 3]
-        if any(polys.evaluate(quartic, x) % 3 == 0 for x in range(3)):
-            raise InconsistentCertificate("3-torsion quartic vanishes mod 3")
         return ObstructionVerdict(
             3, OBSTRUCTED, "3-torsion quartic is = -m^4 != 0 (mod 3) for every x"
         )
     if n == 5:
         if m % 4 != 2:
             return ObstructionVerdict(5, HYPOTHESIS_NOT_MET, f"m = {m} is not 2 (mod 4)")
-        even_branch = m % 4 != 0  # even x would force m = 0 (mod 4)
-        odd_branch = (1 + m * m) ** 8 % 4 != 0  # odd x forces this to vanish
-        if not (even_branch and odd_branch):
-            raise InconsistentCertificate("a parity branch of the mod-4 reduction stays open")
         return ObstructionVerdict(
             5, OBSTRUCTED, "both parity branches of the mod-4 reduction close"
         )
     if n == 7:
         if m % 8 != 2:
             return ObstructionVerdict(7, HYPOTHESIS_NOT_MET, f"m = {m} is not 2 (mod 8)")
-        even_branch = m % 4 != 0
-        odd_value = (1 + m * m) ** 16 * (
-            4 * (3 - m * m) ** 2 * (1 + m * m) ** 6 + (1 + m * m) ** 8
-        )
-        odd_branch = odd_value % 8 != 0
-        if not (even_branch and odd_branch):
-            raise InconsistentCertificate("a parity branch of the mod-8 reduction stays open")
         return ObstructionVerdict(
             7, OBSTRUCTED, "both parity branches of the mod-8 reduction close"
         )

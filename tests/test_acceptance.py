@@ -121,9 +121,9 @@ def test_criterion_3_torsion_grid(grid, capsys):
         # route 3: division polynomials have no integer roots
         for n in (2, 3, 5, 7):
             assert division_poly_has_integer_root(curve, n).certifies_no_point, (params, n)
-        # the congruence replays never contradict; they certify whenever
+        # the congruence routes never contradict; they certify whenever
         # their own hypothesis holds (m = 66 is divisible by 3, so its
-        # order-3 replay is hypothesis-gated rather than obstructed)
+        # order-3 route is hypothesis-gated rather than obstructed)
         for o in report.obstructions:
             assert o.status != "not_obstructed", (params, o)
             if o.order == 2 or (o.order == 3 and params.m % 3 != 0) or o.order in (5, 7):
@@ -145,7 +145,7 @@ def test_criterion_4_rank_grid(grid, capsys):
         for verdict in (cert.class_base, cert.class_shifted, cert.class_combined):
             assert verdict.nonzero is True
             assert verdict.preimages == ()  # halving route: no half-point exists
-            assert verdict.congruence is not None  # replay applies on this grid
+            assert verdict.congruence is not None  # the route applies on this grid
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"rank grid took {elapsed:.1f}s"
     with capsys.disabled():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ecrank import arith
 from ecrank.arith import (
     divisors,
     exact_sqrt,
@@ -95,12 +96,13 @@ def test_factorize_family_discriminant():
     assert fs[2] == 4
 
 
-def test_factorize_budget_raises():
+def test_factorize_budget_raises(monkeypatch):
     # two 19-digit primes; a tiny rho budget cannot split the product
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 10)
     p = 1000000000000000003
     q = 1000000000000000009
     with pytest.raises(FactorizationIncomplete):
-        factorize(p * q, rho_budget=10)
+        factorize(p * q)
 
 
 def test_divisors_matches_bruteforce():

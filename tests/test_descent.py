@@ -114,7 +114,7 @@ def test_class_is_nonzero_canonical():
         verdict = class_is_nonzero(M2_CURVE, target, M2_PARAMS)
         assert verdict.nonzero is True
         assert verdict.preimages == ()
-        assert verdict.congruence is not None  # m = 2 (mod 32): replay applies
+        assert verdict.congruence is not None  # m = 2 (mod 32): the route applies
     labels = [
         class_is_nonzero(M2_CURVE, t, M2_PARAMS).congruence.target_label for t in PTS
     ]
@@ -163,7 +163,7 @@ def test_rank_certificate_worked_example():
 
 
 def test_rank_certificate_outside_hypotheses_still_two():
-    """m = 6 fails both congruence hypotheses, so the replay route is
+    """m = 6 fails both congruence hypotheses, so the congruence route is
     unavailable; the halving route alone still certifies rank >= 2."""
     cert = rank_ge2_certificate(FamilyParams(6, 5, 7, 11))
     assert not cert.hypotheses.all_ok
@@ -369,7 +369,7 @@ def test_probe_synthetic_dependent_point_fails():
 
 def test_substitution_expansions_match_closed_forms():
     """Rederive the x = m + 2s substitutions behind the congruence route
-    symbolically and compare with the closed forms the replay relies on.
+    symbolically and compare with the closed forms the congruence route relies on.
 
     shifted target (x' = m):   (x^2+m^2)^2 - 8xD^2 - 4m f(x)
         = 4[(2s^2 - m^2)^2 - D^2 (4s + 3m)]

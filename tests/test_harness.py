@@ -261,6 +261,20 @@ def test_cli_recheck(tmp_path, capsys):
     assert main(["recheck", str(tmp_path / "missing.jsonl")]) == 2
 
 
+def test_cli_recheck_of_a_directory_is_a_usage_error(tmp_path, capsys):
+    assert main(["recheck", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_verify_out_to_a_directory_is_a_usage_error(tmp_path, capsys):
+    code = main(["verify", "--m", "2", "--p", "3", "--q", "7", "--r", "11",
+                 "--no-probe", "--reduction-primes", "3", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_sweep(tmp_path, capsys):
     out = tmp_path / "out.csv"
     code = main([
