@@ -15,7 +15,7 @@ from ecrank import (
     Curve,
     FamilyParams,
     build_family_curve,
-    congruence_obstruction,
+    cite_obstructions,
     division_poly_has_integer_root,
     nagell_lutz_torsion,
     torsion_order_bound,
@@ -33,7 +33,7 @@ for ell, n in evidence:
 print(f"  gcd = {bound}  ->  torsion order divides {bound}")
 print()
 
-report = nagell_lutz_torsion(curve, params)
+report = nagell_lutz_torsion(curve)
 print("route 2: Nagell-Lutz enumeration")
 print(f"  integral candidates surviving the order test: {list(report.integral_candidates)}")
 print(f"  torsion order: {report.torsion_order} ({report.structure})")
@@ -46,10 +46,11 @@ for n in (2, 3, 5, 7):
     print(f"  order {n}: {word}")
 print()
 
-print("family-specific congruence obstructions (cited by hypothesis class; the residue facts are proven once in tier-1):")
-for n in (2, 3, 5, 7):
-    v = congruence_obstruction(params, n)
-    print(f"  order {n}: {v.status} -- {v.reason}")
+print("family-specific obstructions (order 2 read from the candidates; orders 3, 5 and 7")
+print("cited by hypothesis class: tier-1 proves the order-3 fact, the order-5 and order-7")
+print("facts are only cited, and no certificate rests on them):")
+for v in cite_obstructions(params, report).obstructions:
+    print(f"  order {v.order}: {v.status} -- {v.reason}")
 print()
 
 print("negative controls (nontrivial torsion is found where it exists):")

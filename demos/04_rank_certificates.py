@@ -33,7 +33,7 @@ print()
 
 print("a constructed double, by contrast, is recognized as one:")
 target = double(curve, pts.shifted)
-verdict = class_is_nonzero(curve, target, params)
+verdict = class_is_nonzero(curve, target)
 print(f"  halves of 2*shifted: {list(verdict.preimages)}  -> class nonzero: {verdict.nonzero}")
 print()
 

@@ -2,7 +2,7 @@
 
 Library layout:
     curves     exact chord-tangent group law on y^2 = x^3 + bx + c
-    family     the parametric family b = -m^2, c = (pqr)^2 and its hypotheses
+    family     the family b = -m^2, c = (pqr)^2, its hypotheses and cited congruences
     reduction  reduction mod small primes, exact point counts
     torsion    reduction bound, Nagell-Lutz enumeration, division polynomials
     descent    point halving, E/2E class checks, rank certificates
@@ -51,7 +51,11 @@ from .family import (
     FamilyParams,
     HypothesisReport,
     build_family_curve,
+    ObstructionVerdict,
     canonical_points,
+    cite_congruence,
+    cite_obstructions,
+    congruence_obstruction,
     validate_hypotheses,
 )
 from .records import SweepSpec, build_curve_record, recheck_diff, recheck_record, run_sweep
@@ -62,9 +66,7 @@ from .reduction import (
     reduce_curve,
 )
 from .torsion import (
-    ObstructionVerdict,
     TorsionReport,
-    congruence_obstruction,
     division_poly_has_integer_root,
     division_polynomial,
     integral_torsion_candidates,

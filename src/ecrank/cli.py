@@ -14,7 +14,7 @@ from functools import cache
 
 from .curves import Curve
 from .errors import EcrankError
-from .family import FamilyParams, build_family_curve
+from .family import FamilyParams, build_family_curve, cite_obstructions
 from .records import (
     CSV_HEADER,
     SweepSpec,
@@ -166,13 +166,13 @@ def cmd_torsion(args) -> int:
         if args.b is None or args.c is None:
             raise EcrankError("--b and --c must be given together")
         curve = Curve(args.b, args.c)
-        report = nagell_lutz_torsion(curve, None, args.reduction_primes)
+        report = nagell_lutz_torsion(curve, args.reduction_primes)
     elif None in (args.m, args.p, args.q, args.r):
         raise EcrankError("give either --b/--c or all of --m/--p/--q/--r")
     else:
         params = _params_from_args(args)
         curve = build_family_curve(params)
-        report = nagell_lutz_torsion(curve, params, args.reduction_primes)
+        report = cite_obstructions(params, nagell_lutz_torsion(curve, args.reduction_primes))
     if args.json:
         print(json.dumps(_torsion_obj(report), separators=(",", ":")))
     else:

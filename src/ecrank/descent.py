@@ -11,13 +11,6 @@ has no rational root, so most targets never reach root extraction.
 With trivial torsion, E(Q)/2E(Q)
 is an elementary abelian 2-group of order 2^rank; exhibiting enough
 independent nonzero classes therefore bounds the rank from below.
-
-For the family curves there is a second, congruence-based route for the
-three canonical targets (x' = 0, m, -m) under m = 2 (mod 32).  It is
-cited by hypothesis class; the residue facts are proven once in tier-1
-(tests/test_congruence_facts.py).  It is recorded as corroborating
-evidence whenever it applies, but every certificate rests on the halving
-route, which needs no hypotheses.
 """
 from __future__ import annotations
 
@@ -29,14 +22,16 @@ from math import gcd
 from . import polys
 from .arith import exact_sqrt, rational_sqrt
 from .curves import INFINITY, Curve, Point, _add_raw, add, is_on_curve
-from .errors import InconsistentCertificate, InfinityTarget, PointNotOnCurve
+from .errors import InfinityTarget, PointNotOnCurve
 from .family import (
     CanonicalPoints,
+    CongruenceEvidence,
     FamilyParams,
     HypothesisReport,
     build_family_curve,
     canonical_points,
-    in_hypothesis_class,
+    cite_congruence,
+    cite_obstructions,
     validate_hypotheses,
 )
 from .torsion import TorsionReport, nagell_lutz_torsion
@@ -145,68 +140,6 @@ def halving_preimages(curve: Curve, target: Point) -> list[Point]:
 
 
 # ---------------------------------------------------------------------------
-# Congruence route for the canonical family targets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CongruenceEvidence:
-    """Record of a residue argument ruling the target out of 2E(Q)."""
-
-    target_label: str  # "base" | "shifted" | "combined"
-    modulus: int
-    detail: str
-
-
-# The paper's residue argument for each canonical target.  Each holds for
-# every m = 2 (mod 32) and every odd pqr: the proof test evaluates it once
-# over all the residues it depends on.
-_BASE_EVIDENCE = CongruenceEvidence(
-    "base",
-    32,
-    "x = 2k^2 with k even contradicts m^4 = 16 (mod 32); "
-    "all 16 odd residues k fail the cleared identity mod 32",
-)
-_SHIFTED_EVIDENCE = CongruenceEvidence(
-    "shifted",
-    4,
-    "4s + 3m = 2 (mod 4) for every s, never a perfect square",
-)
-_COMBINED_EVIDENCE = CongruenceEvidence(
-    "combined",
-    8,
-    "2s^4 - 2s(pqr)^2 - (pqr)^2 != 0 (mod 8) for every residue s",
-)
-
-
-def _congruence_route(params: FamilyParams, target: Point) -> CongruenceEvidence | None:
-    """The residue obstruction for a canonical target when m is in the
-    hypothesis class; None when the route does not apply.
-
-    base (x' = 0): 2C = base forces (x^2 + m^2)^2 = 8 x (pqr)^2, so
-        x = 2k^2.  Even k collides with m^4 = 16 (mod 32); odd k makes the
-        cleared identity 16k^8 + m^4 + 8 k^4 m^2 - 16 k^2 (pqr)^2 nonzero
-        mod 32 for every odd residue k.
-    shifted (x' = m): substituting x = m + 2s gives
-        (2s^2 - m^2)^2 = (pqr)^2 (4s + 3m); 4s + 3m = 2 (mod 4) is never a
-        square.
-    combined (x' = -m): the same substitution gives a quartic in s that
-        reduces mod 8 to 2s^4 - 2s(pqr)^2 - (pqr)^2, nonzero for every
-        residue s.
-    """
-    if not in_hypothesis_class(params.m) or target.is_infinity or target.x.denominator != 1:
-        return None
-    x = target.x.numerator
-    if x == 0:
-        return _BASE_EVIDENCE
-    if x == params.m:
-        return _SHIFTED_EVIDENCE
-    if x == -params.m:
-        return _COMBINED_EVIDENCE
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Class verdicts and certificates
 # ---------------------------------------------------------------------------
 
@@ -224,22 +157,15 @@ class ClassVerdict:
     quartic: tuple[int, ...] | None
     quartic_roots: tuple[Fraction, ...] | None
     preimages: tuple[Point, ...] | None
-    congruence: CongruenceEvidence | None
+    congruence: CongruenceEvidence | None = None  # from family.cite_congruence
 
 
-def class_is_nonzero(
-    curve: Curve, point: Point, params: FamilyParams | None = None
-) -> ClassVerdict:
-    """Decide [point] != 0 in E(Q)/2E(Q) by exhaustive halving, with the
-    congruence route recorded too whenever it applies."""
+def class_is_nonzero(curve: Curve, point: Point) -> ClassVerdict:
+    """Decide [point] != 0 in E(Q)/2E(Q) by exhaustive halving."""
     if point.is_infinity:
-        return ClassVerdict(point, False, None, None, (INFINITY,), None)
+        return ClassVerdict(point, False, None, None, (INFINITY,))
     quartic, roots, halves = _halve(curve, point)
-    congruence = _congruence_route(params, point) if params is not None else None
-    nonzero = not halves
-    if congruence is not None and not nonzero:
-        raise InconsistentCertificate(f"congruence and halving routes disagree on {point}")
-    return ClassVerdict(point, nonzero, quartic, roots, tuple(halves), congruence)
+    return ClassVerdict(point, not halves, quartic, roots, tuple(halves))
 
 
 @dataclass(frozen=True)
@@ -314,11 +240,9 @@ def _derive_bound(
 def rank_ge2_certificate(params: FamilyParams, num_primes: int = 5) -> RankCertificate:
     """Run the full torsion + three-class pipeline for one parameter set."""
     curve = build_family_curve(params)
-    torsion = nagell_lutz_torsion(curve, params, num_primes)
+    torsion = cite_obstructions(params, nagell_lutz_torsion(curve, num_primes))
     pts = canonical_points(params)
-    base = class_is_nonzero(curve, pts.base, params)
-    shifted = class_is_nonzero(curve, pts.shifted, params)
-    combined = class_is_nonzero(curve, pts.combined, params)
+    base, shifted, combined = (cite_congruence(params, class_is_nonzero(curve, pt)) for pt in pts)
     return RankCertificate(
         params=params,
         curve=curve,
@@ -437,7 +361,7 @@ def rank_ge3_probe(cert: RankCertificate, height_bound: int, den_bound: int = 2)
                 continue
             # C, C + base, C + shifted, C + combined: the order of ProbePoint.classes
             combos = (cand, *(add(curve, cand, pt) for pt in pts))
-            classes = tuple(class_is_nonzero(curve, pt, params) for pt in combos)
+            classes = tuple(cite_congruence(params, class_is_nonzero(curve, pt)) for pt in combos)
             probes.append(ProbePoint(cand, classes))
     bound = cert.rank_lower_bound
     if bound >= 2 and any(p.independent for p in probes):

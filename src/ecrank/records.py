@@ -25,7 +25,6 @@ from .arith import is_prime
 from .curves import Point, discriminant
 from .descent import (
     ClassVerdict,
-    CongruenceEvidence,
     ProbePoint,
     RankCertificate,
     _check_probe_bounds,
@@ -33,7 +32,7 @@ from .descent import (
     rank_ge3_probe,
 )
 from .errors import NotPrime, PrimeIsTwo, SweepResumeMismatch, SweepWorkerDied
-from .family import HYPOTHESIS_K, FamilyParams, in_hypothesis_class
+from .family import HYPOTHESIS_K, CongruenceEvidence, FamilyParams, in_hypothesis_class
 from .torsion import TorsionReport
 
 SCHEMA_VERSION = 1

@@ -10,12 +10,6 @@
    certifies that no order-n point exists.  Orders 2, 3, 5, 7 are the only
    prime orders a rational torsion point can have, so clearing all four
    already forces the group to be trivial.
-
-A fourth, family-specific route gives the congruence arguments that rule
-out each prime order under hypotheses on m mod 3 / 4 / 8.  It is cited by
-hypothesis class; the residue facts are proven once in tier-1
-(tests/test_congruence_facts.py).  Its verdicts are recorded alongside,
-but certification never rests on it alone.
 """
 from __future__ import annotations
 
@@ -26,7 +20,6 @@ from . import polys
 from .arith import divisors, factorize
 from .curves import INFINITY, Curve, Point, _add_raw, discriminant, scalar_mul
 from .errors import InconsistentCertificate, UnsupportedOrder
-from .family import FamilyParams
 from .reduction import count_points, good_odd_primes, reduce_curve
 
 # A rational point of finite order has order at most 12, and the possible
@@ -116,77 +109,6 @@ def division_poly_has_integer_root(curve: Curve, n: int) -> RootVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Congruence obstructions for the family curves
-# ---------------------------------------------------------------------------
-
-OBSTRUCTED = "obstructed"
-NOT_OBSTRUCTED = "not_obstructed"
-HYPOTHESIS_NOT_MET = "hypothesis_not_met"
-
-
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    order: int
-    status: str  # OBSTRUCTED | NOT_OBSTRUCTED | HYPOTHESIS_NOT_MET
-    reason: str
-
-    @property
-    def obstructed(self) -> bool:
-        return self.status == OBSTRUCTED
-
-
-def congruence_obstruction(params: FamilyParams, n: int) -> ObstructionVerdict:
-    """The residue argument that rules out a point of exact order n.
-
-    order 2: an order-2 point is integral with y = 0, so its x divides
-        (pqr)^2; all 54 signed divisor candidates are tested against the
-        cubic.  No congruence hypothesis is involved.
-    order 3: needs m != 0 (mod 3).  The quartic whose integer roots carry
-        3-torsion x-coordinates reduces mod 3 to the constant -m^4, which
-        is nonzero for every residue of x.
-    order 5: needs m = 2 (mod 4).  Both parity branches of the mod-4
-        reduction of the 4P = -P coordinate identity close: even x forces
-        m = 0 (mod 4); odd x forces (1 + m^2)^8 = 0 (mod 4).
-    order 7: needs m = 2 (mod 8).  Even x forces m = 0 (mod 4); odd x
-        reduces the 6P = -P identity to a unit times
-        4(3 - m^2)^2 (1 + m^2)^6 + (1 + m^2)^8 mod 8, which is nonzero.
-
-    Orders 3, 5 and 7 are cited from the hypothesis alone: each residue
-    fact depends only on m mod 3, 4 or 8 and holds on the whole class.
-    """
-    m, d = params.m, params.pqr
-    if n == 2:
-        for div in divisors({params.p: 2, params.q: 2, params.r: 2}):
-            for x in (div, -div):
-                if x**3 - m * m * x + d * d == 0:
-                    return ObstructionVerdict(
-                        2, NOT_OBSTRUCTED, f"x = {x} is an integral 2-torsion abscissa"
-                    )
-        return ObstructionVerdict(
-            2, OBSTRUCTED, "no divisor +-x of (pqr)^2 satisfies x^3 - m^2 x + (pqr)^2 = 0"
-        )
-    if n == 3:
-        if m % 3 == 0:
-            return ObstructionVerdict(3, HYPOTHESIS_NOT_MET, f"m = {m} is divisible by 3")
-        return ObstructionVerdict(
-            3, OBSTRUCTED, "3-torsion quartic is = -m^4 != 0 (mod 3) for every x"
-        )
-    if n == 5:
-        if m % 4 != 2:
-            return ObstructionVerdict(5, HYPOTHESIS_NOT_MET, f"m = {m} is not 2 (mod 4)")
-        return ObstructionVerdict(
-            5, OBSTRUCTED, "both parity branches of the mod-4 reduction close"
-        )
-    if n == 7:
-        if m % 8 != 2:
-            return ObstructionVerdict(7, HYPOTHESIS_NOT_MET, f"m = {m} is not 2 (mod 8)")
-        return ObstructionVerdict(
-            7, OBSTRUCTED, "both parity branches of the mod-8 reduction close"
-        )
-    raise UnsupportedOrder(f"order {n} not supported (expected one of {SUPPORTED_ORDERS})")
-
-
-# ---------------------------------------------------------------------------
 # Nagell-Lutz enumeration
 # ---------------------------------------------------------------------------
 
@@ -199,7 +121,7 @@ class TorsionReport:
     torsion_order: int
     generators: tuple[Point, ...]
     structure: str
-    obstructions: tuple[ObstructionVerdict, ...]
+    obstructions: tuple = ()  # family.ObstructionVerdict per order, from family.cite_obstructions
 
     @property
     def is_trivial(self) -> bool:
@@ -220,7 +142,7 @@ def two_torsion_points(curve: Curve) -> list[Point]:
     """Rational points of order dividing 2 (excluding O): integer roots of
     the cubic with y = 0.  Rational 2-torsion abscissas are integral
     because the cubic is monic."""
-    return [Point(x, 0) for x in polys.integer_roots([curve.c, curve.b, 0, 1])]
+    return [Point(x, 0) for x in polys.integer_roots(division_polynomial(curve, 2))]
 
 
 def integral_torsion_candidates(curve: Curve) -> list[Point]:
@@ -277,14 +199,9 @@ def _group_structure(
     return f"Z/2 x Z/{max_order}", (max_pt, extra)
 
 
-def nagell_lutz_torsion(
-    curve: Curve,
-    params: FamilyParams | None = None,
-    num_primes: int = 5,
-) -> TorsionReport:
+def nagell_lutz_torsion(curve: Curve, num_primes: int = 5) -> TorsionReport:
     """Full torsion report: reduction bound, candidate enumeration, exact
-    order tests, group structure, and (for family parameters) the
-    congruence-obstruction verdicts."""
+    order tests and group structure."""
     bound, evidence = torsion_order_bound(curve, num_primes)
     candidates = integral_torsion_candidates(curve)
     # O and every candidate of finite order, with its order: the full group,
@@ -302,15 +219,6 @@ def nagell_lutz_torsion(
             f"torsion order {order} does not divide the reduction bound {bound}"
         )
     structure, generators = _group_structure(curve, points)
-    obstructions: tuple[ObstructionVerdict, ...] = ()
-    if params is not None:
-        obstructions = tuple(congruence_obstruction(params, n) for n in SUPPORTED_ORDERS)
-        found_orders = {o for _, o in points}
-        for verdict in obstructions:
-            if verdict.obstructed and verdict.order in found_orders:
-                raise InconsistentCertificate(
-                    f"order-{verdict.order} point found despite congruence obstruction"
-                )
     return TorsionReport(
         bound_from_reduction=bound,
         primes_used=tuple(evidence),
@@ -318,5 +226,4 @@ def nagell_lutz_torsion(
         torsion_order=order,
         generators=generators,
         structure=structure,
-        obstructions=obstructions,
     )

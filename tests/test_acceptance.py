@@ -25,7 +25,7 @@ from ecrank.curves import (
     scalar_mul,
 )
 from ecrank.descent import halving_preimages, rank_ge2_certificate
-from ecrank.family import FamilyParams, build_family_curve, canonical_points
+from ecrank.family import FamilyParams, build_family_curve, canonical_points, cite_obstructions
 from ecrank.records import build_curve_record, record_to_line, recheck_record
 from ecrank.reduction import (
     count_points,
@@ -116,7 +116,7 @@ def test_criterion_3_torsion_grid(grid, capsys):
         bound, evidence = torsion_order_bound(curve, 15)
         assert bound == 1, (params, evidence)
         # route 2: Nagell-Lutz enumeration finds only the identity
-        report = nagell_lutz_torsion(curve, params, num_primes=5)
+        report = cite_obstructions(params, nagell_lutz_torsion(curve, num_primes=5))
         assert report.torsion_order == 1, params
         # route 3: division polynomials have no integer roots
         for n in (2, 3, 5, 7):

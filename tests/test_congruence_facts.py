@@ -1,19 +1,24 @@
 """The residue facts behind the congruence routes, proven once.
 
-`descent._congruence_route` and `torsion.congruence_obstruction` cite
+`family._congruence_route` and `family.congruence_obstruction` cite
 their arguments from the hypothesis class of m alone.  Each argument's
 residue fact depends only on m and pqr modulo 32 (or m modulo 3, 4 or 8),
 so evaluating it on every class of m that the code's own gate accepts,
 every odd residue of pqr and every k or s covers every input a record can
 ever carry.
+
+Orders 5 and 7 are only cited.  `_torsion_fact` checks the closed forms
+the paper states, not psi_5 or psi_7 (both have roots mod 2^j), and for
+even m, (1 + m^2)^8 % 4 != 0 always holds.  No certificate rests on
+these facts.
 """
 from fractions import Fraction
 
 from ecrank import polys
 from ecrank.curves import Curve, Point
-from ecrank.descent import _congruence_route, halving_quartic
-from ecrank.family import FamilyParams, canonical_points
-from ecrank.torsion import congruence_obstruction, division_polynomial
+from ecrank.descent import halving_quartic
+from ecrank.family import FamilyParams, _congruence_route, canonical_points, congruence_obstruction
+from ecrank.torsion import division_polynomial
 
 ODD_32 = range(1, 32, 2)  # the odd residues of pqr mod 32
 

@@ -18,7 +18,7 @@ from ecrank.descent import (
     search_points,
 )
 from ecrank.errors import InfinityTarget, PointNotOnCurve
-from ecrank.family import FamilyParams, build_family_curve, canonical_points
+from ecrank.family import FamilyParams, build_family_curve, canonical_points, cite_congruence
 from ecrank import polys
 from ecrank.records import SweepSpec, build_curve_record
 from ecrank.torsion import two_torsion_points
@@ -111,19 +111,20 @@ def test_halving_round_trip_integral_target_parity():
 
 def test_class_is_nonzero_canonical():
     for target in PTS:
-        verdict = class_is_nonzero(M2_CURVE, target, M2_PARAMS)
+        verdict = cite_congruence(M2_PARAMS, class_is_nonzero(M2_CURVE, target))
         assert verdict.nonzero is True
         assert verdict.preimages == ()
         assert verdict.congruence is not None  # m = 2 (mod 32): the route applies
     labels = [
-        class_is_nonzero(M2_CURVE, t, M2_PARAMS).congruence.target_label for t in PTS
+        cite_congruence(M2_PARAMS, class_is_nonzero(M2_CURVE, t)).congruence.target_label
+        for t in PTS
     ]
     assert labels == ["base", "shifted", "combined"]
 
 
 def test_class_zero_for_constructed_double():
     twob = double(M2_CURVE, PTS.shifted)
-    verdict = class_is_nonzero(M2_CURVE, twob, M2_PARAMS)
+    verdict = cite_congruence(M2_PARAMS, class_is_nonzero(M2_CURVE, twob))
     assert verdict.nonzero is False
     assert PTS.shifted in verdict.preimages
     assert class_is_nonzero(M2_CURVE, INFINITY).nonzero is False
@@ -137,7 +138,7 @@ def test_route_agreement_on_hypothesis_grid():
             params = FamilyParams(m, *trip)
             curve = build_family_curve(params)
             for target in canonical_points(params):
-                v = class_is_nonzero(curve, target, params)
+                v = cite_congruence(params, class_is_nonzero(curve, target))
                 if v.congruence is not None:
                     assert v.nonzero is True
 
@@ -360,8 +361,8 @@ def test_probe_synthetic_dependent_point_fails():
     [C + base] = [2 base + 2 shifted] = 0, so the four-class test must fail."""
     curve = M2_CURVE
     c = add(curve, PTS.base, scalar_mul(curve, 2, PTS.shifted))
-    v_c = class_is_nonzero(curve, c, M2_PARAMS)
-    v_mix = class_is_nonzero(curve, add(curve, c, PTS.base), M2_PARAMS)
+    v_c = cite_congruence(M2_PARAMS, class_is_nonzero(curve, c))
+    v_mix = cite_congruence(M2_PARAMS, class_is_nonzero(curve, add(curve, c, PTS.base)))
     assert v_c.nonzero is True  # [C] = [base] != 0
     assert v_mix.nonzero is False  # halves exist: C + base = 2(base + shifted)
     assert len(v_mix.preimages) > 0

@@ -1,13 +1,26 @@
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+from ecrank import descent
+from ecrank.arith import divisors
 from ecrank.curves import Point, discriminant, is_on_curve
-from ecrank.errors import NotPrime, PrimeIsTwo, PrimesNotDistinct
+from ecrank.descent import rank_ge2_certificate
+from ecrank.errors import InconsistentCertificate, NotPrime, PrimeIsTwo, PrimesNotDistinct
 from ecrank.family import (
+    NOT_OBSTRUCTED,
+    OBSTRUCTED,
     FamilyParams,
     build_family_curve,
     canonical_points,
+    cite_obstructions,
     validate_hypotheses,
 )
+from ecrank.torsion import nagell_lutz_torsion
+
+GRID_SEED = Path(__file__).resolve().parents[1] / "bench" / "data" / "grid_seed.jsonl"
 
 
 def test_params_validation():
@@ -82,3 +95,55 @@ def test_canonical_points_always_on_curve():
             assert is_on_curve(curve, pts.combined)
             # the chord through the first two is horizontal
             assert pts.combined.x == -m
+
+
+def _divisor_loop_order2(params):
+    """The order-2 verdict by the former divisor loop, kept as the oracle:
+    each signed divisor of (pqr)^2, in increasing |x| and + before -, is
+    tested against the cubic."""
+    m, d = params.m, params.pqr
+    for div in divisors({params.p: 2, params.q: 2, params.r: 2}):
+        for x in (div, -div):
+            if x**3 - m * m * x + d * d == 0:
+                return NOT_OBSTRUCTED, f"x = {x} is an integral 2-torsion abscissa"
+    return OBSTRUCTED, "no divisor +-x of (pqr)^2 satisfies x^3 - m^2 x + (pqr)^2 = 0"
+
+
+def test_order2_verdict_matches_divisor_loop():
+    """Read from the Nagell-Lutz candidates, the order-2 verdict equals the
+    divisor loop's on two members with 2-torsion and on the seed grid."""
+    with open(GRID_SEED) as fh:
+        grid = [json.loads(line)["params"] for line in fh]
+    members = [FamilyParams(120, 7, 13, 17), FamilyParams(240, 7, 17, 23)]
+    members += [FamilyParams(*(int(p[k]) for k in "mpqr")) for p in grid]
+    assert len(members) == 52
+    statuses = set()
+    for params in members:
+        rep = cite_obstructions(params, nagell_lutz_torsion(build_family_curve(params)))
+        order2 = rep.obstructions[0]
+        assert (order2.order, order2.status, order2.reason) == (2, *_divisor_loop_order2(params))
+        statuses.add(order2.status)
+    assert statuses == {OBSTRUCTED, NOT_OBSTRUCTED}
+
+
+def test_cited_class_with_a_half_is_inconsistent(monkeypatch):
+    """Halving that finds a half of a cited canonical target contradicts
+    the congruence route; outside the hypothesis class nothing is cited."""
+    monkeypatch.setattr(descent, "_halve", lambda curve, target: ((), (), [target]))
+    with pytest.raises(InconsistentCertificate, match="disagree"):
+        rank_ge2_certificate(FamilyParams(2, 3, 7, 11))
+    cert = rank_ge2_certificate(FamilyParams(6, 5, 7, 11))
+    assert cert.class_base.nonzero is False and cert.class_base.congruence is None
+
+
+def test_cited_obstruction_with_a_point_of_that_order_is_inconsistent():
+    """A torsion order divisible by an obstructed prime contradicts the
+    citation; where the order-3 hypothesis fails, the same order passes."""
+    params = FamilyParams(2, 3, 7, 11)
+    report = nagell_lutz_torsion(build_family_curve(params))
+    with pytest.raises(InconsistentCertificate, match="order-3"):
+        cite_obstructions(params, replace(report, torsion_order=3))
+    m3 = FamilyParams(3, 5, 7, 11)
+    report = nagell_lutz_torsion(build_family_curve(m3))
+    cited = cite_obstructions(m3, replace(report, torsion_order=3))
+    assert [o.status for o in cited.obstructions[1:]] == ["hypothesis_not_met"] * 3

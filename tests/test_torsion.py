@@ -11,11 +11,15 @@ from ecrank import polys
 from ecrank.arith import divisors, factorize
 from ecrank.curves import Curve, Point, discriminant, scalar_mul
 from ecrank.errors import UnsupportedOrder
-from ecrank.family import FamilyParams, build_family_curve
-from ecrank.torsion import (
+from ecrank.family import (
     HYPOTHESIS_NOT_MET,
     OBSTRUCTED,
+    FamilyParams,
+    build_family_curve,
+    cite_obstructions,
     congruence_obstruction,
+)
+from ecrank.torsion import (
     division_poly_has_integer_root,
     division_polynomial,
     integral_torsion_candidates,
@@ -197,7 +201,6 @@ def test_division_polynomial_roots_large_member():
 
 
 def test_congruence_obstructions():
-    assert congruence_obstruction(M2_PARAMS, 2).status == OBSTRUCTED
     assert congruence_obstruction(M2_PARAMS, 3).status == OBSTRUCTED
     assert congruence_obstruction(M2_PARAMS, 5).status == OBSTRUCTED
     assert congruence_obstruction(M2_PARAMS, 7).status == OBSTRUCTED
@@ -206,10 +209,10 @@ def test_congruence_obstructions():
     assert congruence_obstruction(m4, 7).status == HYPOTHESIS_NOT_MET
     m3 = FamilyParams(3, 3, 7, 11)
     assert congruence_obstruction(m3, 3).status == HYPOTHESIS_NOT_MET
-    # order 2 needs no hypothesis at all
-    assert congruence_obstruction(m3, 2).status == OBSTRUCTED
-    with pytest.raises(UnsupportedOrder):
-        congruence_obstruction(M2_PARAMS, 11)
+    # order 2 is read from the torsion report (test_family.py checks it)
+    for n in (2, 11):
+        with pytest.raises(UnsupportedOrder):
+            congruence_obstruction(M2_PARAMS, n)
 
 
 def test_nagell_lutz_negative_controls():
@@ -233,7 +236,7 @@ def test_nagell_lutz_negative_controls():
 
 
 def test_nagell_lutz_worked_example():
-    rep = nagell_lutz_torsion(M2_CURVE, M2_PARAMS)
+    rep = cite_obstructions(M2_PARAMS, nagell_lutz_torsion(M2_CURVE))
     assert rep.is_trivial and rep.torsion_order == 1
     assert rep.bound_from_reduction == 1
     assert rep.structure == "trivial"
@@ -247,7 +250,7 @@ def test_three_routes_agree():
     for m, trip in ((2, (3, 5, 7)), (34, (3, 7, 11)), (10, (5, 7, 11)), (3, (5, 7, 11))):
         params = FamilyParams(m, *trip)
         curve = build_family_curve(params)
-        rep = nagell_lutz_torsion(curve, params)
+        rep = cite_obstructions(params, nagell_lutz_torsion(curve))
         orders_present = set()
         for pt in rep.integral_candidates:
             for n in range(1, 13):
@@ -347,7 +350,7 @@ def test_torsion_trivial_on_full_parameter_grid():
     for m in (2, 34, 66, 98, 130):
         for trip in itertools.combinations((3, 5, 7, 11, 13), 3):
             params = FamilyParams(m, *trip)
-            rep = nagell_lutz_torsion(build_family_curve(params), params)
+            rep = cite_obstructions(params, nagell_lutz_torsion(build_family_curve(params)))
             assert rep.torsion_order == 1, (m, trip)
             count += 1
     assert count == 50
