@@ -1,5 +1,13 @@
 """Integer plumbing: primality, factorization, divisors, exact square roots.
 
+Nagell-Lutz needs only the square part of the discriminant, and
+square_part_root finds it without factoring all of it: trial division
+below 2^16, then, for a cofactor R below 2^63, gcds with window products
+of the primes up to the cube root of R, from a table sieved lazily one
+2^16-wide segment at a time (about 0.45 MB up to 2^21).  Pollard rho runs
+only on cofactors from 2^63 up, inside factorize, which stays the full
+factorization.
+
 Everything here is deterministic.  Pollard rho walks a fixed parameter
 schedule, so identical inputs always factor the same way; that property is
 what makes the record files byte-reproducible.
@@ -9,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import compress, count, islice
 from math import gcd, isqrt, prod
 
 from .errors import FactorizationIncomplete
@@ -26,7 +34,9 @@ _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 _SIEVE_LIMIT = 1 << 16
 
-_TRIAL_BLOCK = 64  # consecutive small primes per gcd test in factorize
+_TRIAL_BLOCK = 64  # consecutive small primes per gcd test in _trial_division
+_WINDOW = 512  # consecutive odd numbers per product in the segment table
+_CUBE_SCAN_LIMIT = 1 << 63  # (2^21)^3: cofactors below it are settled without rho
 _RHO_BUDGET = 5_000_000  # Pollard rho iterations per composite before factorize gives up
 
 
@@ -127,18 +137,15 @@ def _pollard_rho(n: int, budget: int) -> int:
     raise FactorizationIncomplete(f"rho parameter schedule exhausted on {n}")
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}.
+def _trial_division(n: int) -> tuple[dict[int, int], int]:
+    """The primes below 2^16 in |n| as {prime: exponent}, and the cofactor.
 
-    Trial division by the sieved primes first, Pollard rho for what is left.
-    Trial division takes the primes a block at a time: one gcd with the
-    block's product shows whether any of them divides n, and only then is n
-    divided by each.  Raises FactorizationIncomplete instead of ever
-    returning a wrong or partial answer.
+    The primes go a block at a time: one gcd with the block's product shows
+    whether any of them divides n, and only then is n divided by each.  The
+    cofactor has no prime factor below 2^16; when the loop stops early it is
+    1 or prime.
     """
     n = abs(n)
-    if n <= 1:
-        return {}
     factors: dict[int, int] = {}
     for block, block_product in _trial_blocks():
         if block[0] * block[0] > n:
@@ -151,8 +158,19 @@ def factorize(n: int) -> dict[int, int]:
                 while n % p == 0:
                     factors[p] = factors.get(p, 0) + 1
                     n //= p
-    if n == 1:
-        return factors
+    return factors, n
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of |n| as {prime: exponent}.
+
+    Trial division by the sieved primes first, Pollard rho for what is
+    left.  Raises FactorizationIncomplete instead of ever returning a wrong
+    or partial answer.
+    """
+    if abs(n) <= 1:
+        return {}
+    factors, n = _trial_division(n)
     stack = [n]
     while stack:
         m = stack.pop()
@@ -165,6 +183,67 @@ def factorize(n: int) -> dict[int, int]:
         stack.append(d)
         stack.append(m // d)
     return factors
+
+
+@cache
+def _segment_windows(k: int) -> tuple[int, ...]:
+    """Products of the primes in [k 2^16, (k + 1) 2^16), k >= 1, one per
+    window of _WINDOW consecutive odd numbers, in increasing order.
+
+    An odd-only sieve by the primes below 2^16, which covers every segment
+    below 2^32; index i stands for k 2^16 + 2i + 1.
+    """
+    base, top = k * _SIEVE_LIMIT, (k + 1) * _SIEVE_LIMIT
+    seg = bytearray([1]) * (_SIEVE_LIMIT // 2)
+    for p in islice(small_primes(), 1, None):
+        if p * p >= top:
+            break
+        start = max(p * p, -(-base // p) * p)
+        if start % 2 == 0:
+            start += p
+        i = (start - base) // 2
+        seg[i::p] = bytearray(len(seg[i::p]))
+    return tuple(
+        prod(compress(range(base + 2 * i + 1, base + 2 * (i + _WINDOW), 2), seg[i : i + _WINDOW]))
+        for i in range(0, len(seg), _WINDOW)
+    )
+
+
+def square_part_root(n: int) -> dict[int, int]:
+    """{p: e // 2} over the p^e || n with e >= 2.
+
+    The y with y^2 | n are the divisors of the product of p^(e // 2), so
+    no prime that divides n only once needs to be split off.  Trial
+    division below 2^16 leaves a cofactor R; 1 or a prime R is done.  A
+    composite R below 2^63 needs no Pollard rho.  Each prime of R up to its
+    cube root lies in a window whose low end lo has lo^3 <= R (windows
+    below 2^21 suffice); a gcd with the window's product finds it, and the
+    window's odd numbers are then tried one by one (a composite one has a
+    prime factor below 2^11, so it never divides R).  What is left of R has
+    no prime factor up to its own cube root, so it is 1, P, P^2 or PQ, and
+    only P^2, which exact_sqrt spots, adds to the answer
+    (Crandall-Pomerance, Prime Numbers, 5.1.2).  R >= 2^63 goes to
+    factorize, Pollard rho and its budget included.
+    """
+    factors, rest = _trial_division(n)
+    if rest >= _CUBE_SCAN_LIMIT:
+        factors.update(factorize(rest))
+    elif rest > 1 and not is_prime(rest):
+        for i in count():
+            lo = _SIEVE_LIMIT + 1 + 2 * _WINDOW * i
+            if lo**3 > rest:
+                break
+            k, j = divmod(i, _SIEVE_LIMIT // (2 * _WINDOW))
+            if gcd(rest, _segment_windows(k + 1)[j]) == 1:
+                continue
+            for d in range(lo, lo + 2 * _WINDOW, 2):
+                while rest % d == 0:
+                    factors[d] = factors.get(d, 0) + 1
+                    rest //= d
+        root = exact_sqrt(rest)
+        if rest > 1 and root is not None:
+            factors[root] = 2
+    return {p: e // 2 for p, e in factors.items() if e > 1}
 
 
 def divisors(factors: dict[int, int]) -> list[int]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import polys
-from .arith import divisors, factorize
+from .arith import divisors, square_part_root
 from .curves import INFINITY, Curve, Point, _add_raw, discriminant, scalar_mul
 from .errors import InconsistentCertificate, UnsupportedOrder
 from .reduction import count_points, good_odd_primes, reduce_curve
@@ -152,6 +152,12 @@ def integral_torsion_candidates(curve: Curve) -> list[Point]:
     complete search space; the converse fails (a candidate can have
     infinite order) and is settled by the order test.
 
+    The y with y^2 | Delta are the divisors of arith.square_part_root(Delta),
+    which finds only the square part of Delta: trial division below 2^16,
+    then, for a cofactor R below 2^63, gcds with a lazily sieved table of
+    prime-window products up to the cube root of R.  Delta is factored in
+    full, by Pollard rho, only when that cofactor is 2^63 or more.
+
     Each y goes to exact root extraction only if y^2 mod n is a value of
     x^3 + bx + c mod n for every n in _CANDIDATE_MODULI.  The tables are
     built once per curve, and the filter drops no y that has an integral x.
@@ -162,9 +168,7 @@ def integral_torsion_candidates(curve: Curve) -> list[Point]:
         (n, frozenset(values))
         for n, values in zip(_CANDIDATE_MODULI, polys.cubic_value_tables(b, c, _CANDIDATE_MODULI))
     ]
-    # y^2 | Delta exactly when y divides the product of p^(e // 2) over p^e || Delta
-    halved = {p: e // 2 for p, e in factorize(discriminant(curve)).items() if e > 1}
-    for y in divisors(halved):
+    for y in divisors(square_part_root(discriminant(curve))):
         y2 = y * y
         if not all(y2 % n in values for n, values in tables):
             continue

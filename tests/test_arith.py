@@ -1,4 +1,8 @@
+import json
 import random
+from itertools import combinations, permutations
+from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +14,12 @@ from ecrank.arith import (
     is_prime,
     primes_from,
     rational_sqrt,
+    square_part_root,
     two_adic_valuation,
 )
+from ecrank.curves import discriminant
 from ecrank.errors import FactorizationIncomplete
+from ecrank.family import FamilyParams, build_family_curve
 from fractions import Fraction
 
 
@@ -179,3 +186,85 @@ def test_factorize_blocks_match_trial_division():
         # trial division, not rho, finds every sieved prime, and in order
         sieved = [(p, e) for p, e in want.items() if p < 1 << 16]
         assert got[: len(sieved)] == sieved, n
+
+
+# Primes on both sides of 2^16 and 2^21.  65537 and 2073601 are the low
+# ends of windows of the segment table, so their cubes sit exactly on the
+# lo^3 <= R bound of square_part_root.
+BELOW_2_16 = (3, 65521)
+BETWEEN_2_16_AND_2_21 = (65537, 65539, 2073601, 2097143)
+ABOVE_2_21 = (2097169, 16777259)
+NEAR_2_31 = (2147483647, 4294967291)
+
+EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "data" / "expected.json"
+
+
+def _square_part_oracle(n):
+    return {p: e // 2 for p, e in factorize(n).items() if e > 1}
+
+
+def _planted():
+    mid = BETWEEN_2_16_AND_2_21 + ABOVE_2_21
+    cases = [p * p for p in BELOW_2_16 + mid + NEAR_2_31]
+    cases += [p**3 for p in BELOW_2_16 + mid]
+    cases += [p * p * q for p, q in permutations(mid, 2)]
+    cases += [p * q for p, q in combinations(mid + NEAR_2_31, 2)]
+    cases += [p * q * s for p, q, s in combinations(mid, 3)]
+    cases += [16 * 3**5 * (p * q) ** 2 * r for p, q, r in permutations(BELOW_2_16[1:] + mid[:4], 3)]
+    return cases + [-n for n in cases[::3]]
+
+
+def _family_discriminants():
+    with open(EXPECTED, encoding="utf-8") as fh:
+        deep = json.load(fh)["verify_deep"]
+    params = [m["params"] for m in deep["fixed"] + deep["pool"]]
+    assert len(params) == 32
+    params += [(m, *t) for m in (2, 34, 66, 98, 130) for t in combinations((3, 5, 7, 11, 13), 3)]
+    return [discriminant(build_family_curve(FamilyParams(*ps))) for ps in params]
+
+
+def _cofactor(n):
+    """What trial division below 2^16 leaves of n."""
+    return prod(p**e for p, e in factorize(n).items() if p > 1 << 16)
+
+
+def test_square_part_root_matches_factorize():
+    cases = _planted() + _family_discriminants() + [0, 1, -1, 2, 65521, 65537]
+    cofactors = [_cofactor(n) for n in cases]
+    # the planted cofactors fall on both sides of 2^48 (no window needed)
+    # and of 2^63 (factorize and rho take over)
+    assert {c < 1 << 48 for c in cofactors if c > 1} == {True, False}
+    assert {c < 1 << 63 for c in cofactors} == {True, False}
+    for n in cases:
+        assert square_part_root(n) == _square_part_oracle(n), n
+
+
+def test_square_part_root_settles_below_2_63_without_rho(monkeypatch):
+    p, q, s = 65537, 2073601, 2097143
+    below = [p**3, p * p * s, p * q * s, q * s, 16 * 3**5 * p * p * s, 1939308433 * 1658225953]
+    want = [_square_part_oracle(n) for n in below]
+    big = 2147483647 * 4294967311
+    assert max(map(_cofactor, below)) < 1 << 63 <= big
+    # with no rho budget any rho call raises, so a cofactor below 2^63 that
+    # comes out right was settled without one
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 0)
+    assert [square_part_root(n) for n in below] == want
+    # a composite cofactor from 2^63 up goes to rho, and running out of
+    # budget raises rather than answering from a partial factorization
+    for n in (big, -16 * big):
+        with pytest.raises(FactorizationIncomplete):
+            square_part_root(n)
+
+
+def test_segment_windows_match_the_oracle_primes_and_build_lazily():
+    table = arith._segment_windows(1)
+    width = 2 * arith._WINDOW
+    assert len(table) == (1 << 16) // width
+    for j, product in enumerate(table):
+        lo = (1 << 16) + 1 + width * j
+        assert product == prod(p for p in ORACLE_PRIMES if lo <= p < lo + width)
+    arith._segment_windows.cache_clear()
+    square_part_root(65537 * 65539)  # below 2^48: no window reaches its cube root
+    assert arith._segment_windows.cache_info().currsize == 0
+    square_part_root(2073601**3)  # the cube of a window's low end in segment 31
+    assert arith._segment_windows.cache_info().currsize == 31
