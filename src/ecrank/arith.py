@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 from math import gcd, isqrt, prod
 
 from .errors import FactorizationIncomplete
@@ -40,15 +40,33 @@ _CUBE_SCAN_LIMIT = 1 << 63  # (2^21)^3: cofactors below it are settled without r
 _RHO_BUDGET = 5_000_000  # Pollard rho iterations per composite before factorize gives up
 
 
+def _odd_sieve(base: int, divisors) -> bytearray:
+    """Flags for the odd numbers in [base, base + 2^16), base a multiple of
+    2^16; index i stands for base + 2i + 1.  A 0 marks a multiple of one of
+    the odd `divisors` other than the divisor itself.  The divisors are read
+    in increasing order until one's square reaches the top, so when they
+    include every odd prime below that, every odd composite is marked.
+    """
+    half = _SIEVE_LIMIT // 2
+    top = base + _SIEVE_LIMIT
+    flags = bytearray([1]) * half
+    for d in divisors:
+        if d * d >= top:
+            break
+        first = max(d * d, -(-base // d) * d)
+        if first % 2 == 0:
+            first += d
+        i = (first - base) // 2
+        flags[i::d] = bytes(len(range(i, half, d)))
+    return flags
+
+
 @cache
 def small_primes() -> list[int]:
-    """Primes below 2^16, sieved once and cached."""
-    sieve = bytearray([1]) * _SIEVE_LIMIT
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(_SIEVE_LIMIT) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(_SIEVE_LIMIT) if sieve[i]]
+    """Primes below 2^16, sieved once (odd numbers only) and cached."""
+    flags = _odd_sieve(0, range(3, isqrt(_SIEVE_LIMIT), 2))
+    flags[0] = 0  # 1 is not prime
+    return [2, *compress(range(1, _SIEVE_LIMIT, 2), flags)]
 
 
 @cache
@@ -190,23 +208,24 @@ def _segment_windows(k: int) -> tuple[int, ...]:
     """Products of the primes in [k 2^16, (k + 1) 2^16), k >= 1, one per
     window of _WINDOW consecutive odd numbers, in increasing order.
 
-    An odd-only sieve by the primes below 2^16, which covers every segment
-    below 2^32; index i stands for k 2^16 + 2i + 1.
+    The odd-only sieve by the primes from 7 to below 2^16 covers every
+    segment below 2^32.  Only the odd numbers prime to 15 are read off it,
+    one residue class mod 30 at a time (index j of flags[j::15] stands for
+    base + 2j + 1 plus a multiple of 30), so multiples of 3 and 5 are
+    neither marked nor walked; the primes are merged back into order and
+    cut at the window bounds.  They live only while the segment is built.
     """
-    base, top = k * _SIEVE_LIMIT, (k + 1) * _SIEVE_LIMIT
-    seg = bytearray([1]) * (_SIEVE_LIMIT // 2)
-    for p in islice(small_primes(), 1, None):
-        if p * p >= top:
-            break
-        start = max(p * p, -(-base // p) * p)
-        if start % 2 == 0:
-            start += p
-        i = (start - base) // 2
-        seg[i::p] = bytearray(len(seg[i::p]))
-    return tuple(
-        prod(compress(range(base + 2 * i + 1, base + 2 * (i + _WINDOW), 2), seg[i : i + _WINDOW]))
-        for i in range(0, len(seg), _WINDOW)
-    )
+    base = k * _SIEVE_LIMIT
+    flags = _odd_sieve(base, islice(small_primes(), 3, None))
+    starts = [base + 2 * j + 1 for j in range(15)]
+    classes = [
+        compress(range(start, base + _SIEVE_LIMIT, 30), flags[j::15])
+        for j, start in enumerate(starts)
+        if start % 3 and start % 5
+    ]
+    primes = sorted(chain.from_iterable(classes))
+    cuts = [bisect_left(primes, base + 2 * i) for i in range(0, _SIEVE_LIMIT // 2, _WINDOW)]
+    return tuple(prod(primes[a:b]) for a, b in zip(cuts, [*cuts[1:], len(primes)]))
 
 
 def square_part_root(n: int) -> dict[int, int]:

@@ -1,5 +1,6 @@
 import json
 import random
+from bisect import bisect_left
 from itertools import combinations, permutations
 from math import prod
 from pathlib import Path
@@ -256,13 +257,16 @@ def test_square_part_root_settles_below_2_63_without_rho(monkeypatch):
             square_part_root(n)
 
 
-def test_segment_windows_match_the_oracle_primes_and_build_lazily():
-    table = arith._segment_windows(1)
+def test_prime_tables_match_the_oracle_sieve_and_build_lazily():
+    oracle = _primes_below(1 << 21)
+    assert arith.small_primes() == oracle[: bisect_left(oracle, 1 << 16)]
     width = 2 * arith._WINDOW
-    assert len(table) == (1 << 16) // width
-    for j, product in enumerate(table):
-        lo = (1 << 16) + 1 + width * j
-        assert product == prod(p for p in ORACLE_PRIMES if lo <= p < lo + width)
+    for k in range(1, 32):
+        table = arith._segment_windows(k)
+        assert len(table) == (1 << 16) // width
+        for j, product in enumerate(table):
+            lo = (k << 16) + 1 + width * j
+            assert product == prod(oracle[bisect_left(oracle, lo) : bisect_left(oracle, lo + width)])
     arith._segment_windows.cache_clear()
     square_part_root(65537 * 65539)  # below 2^48: no window reaches its cube root
     assert arith._segment_windows.cache_info().currsize == 0
