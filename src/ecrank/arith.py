@@ -1,12 +1,14 @@
 """Integer plumbing: primality, factorization, divisors, exact square roots.
 
 Nagell-Lutz needs only the square part of the discriminant, and
-square_part_root finds it without factoring all of it: trial division
+square_part_root finds it without factoring all of it.  It tries primes
+only up to the cube root of what is left, since a number with no prime
+factor up to its cube root is 1, P, P^2 or PQ: first the sieved primes
 below 2^16, then, for a cofactor R below 2^63, gcds with window products
 of the primes up to the cube root of R, from a table sieved lazily one
 2^16-wide segment at a time (about 0.45 MB up to 2^21).  Pollard rho runs
 only on cofactors from 2^63 up, inside factorize, which stays the full
-factorization.
+factorization and trial-divides up to the square root.
 
 Everything here is deterministic.  Pollard rho walks a fixed parameter
 schedule, so identical inputs always factor the same way; that property is
@@ -37,6 +39,7 @@ _SIEVE_LIMIT = 1 << 16
 _TRIAL_BLOCK = 64  # consecutive small primes per gcd test in _trial_division
 _WINDOW = 512  # consecutive odd numbers per product in the segment table
 _CUBE_SCAN_LIMIT = 1 << 63  # (2^21)^3: cofactors below it are settled without rho
+_WINDOW_SCAN_FLOOR = (_SIEVE_LIMIT + 1) ** 3  # the first window's low end, cubed
 _RHO_BUDGET = 5_000_000  # Pollard rho iterations per composite before factorize gives up
 
 
@@ -155,18 +158,21 @@ def _pollard_rho(n: int, budget: int) -> int:
     raise FactorizationIncomplete(f"rho parameter schedule exhausted on {n}")
 
 
-def _trial_division(n: int) -> tuple[dict[int, int], int]:
+def _trial_division(n: int, root: int = 2) -> tuple[dict[int, int], int]:
     """The primes below 2^16 in |n| as {prime: exponent}, and the cofactor.
 
     The primes go a block at a time: one gcd with the block's product shows
-    whether any of them divides n, and only then is n divided by each.  The
-    cofactor has no prime factor below 2^16; when the loop stops early it is
-    1 or prime.
+    whether any of them divides n, and only then is n divided by each.
+    Once every block is used, the cofactor has no prime factor below 2^16.
+    The loop stops early at the first block whose least prime p has
+    p^root > n, n being what is left by then; that cofactor has no prime
+    factor below p, so it has fewer than root prime factors counted with
+    multiplicity: 1 or prime for root = 2, and 1, P, P^2 or PQ for 3.
     """
     n = abs(n)
     factors: dict[int, int] = {}
     for block, block_product in _trial_blocks():
-        if block[0] * block[0] > n:
+        if block[0] ** root > n:
             break
         g = gcd(n, block_product)
         if g == 1:
@@ -232,22 +238,27 @@ def square_part_root(n: int) -> dict[int, int]:
     """{p: e // 2} over the p^e || n with e >= 2.
 
     The y with y^2 | n are the divisors of the product of p^(e // 2), so
-    no prime that divides n only once needs to be split off.  Trial
-    division below 2^16 leaves a cofactor R; 1 or a prime R is done.  A
-    composite R below 2^63 needs no Pollard rho.  Each prime of R up to its
-    cube root lies in a window whose low end lo has lo^3 <= R (windows
-    below 2^21 suffice); a gcd with the window's product finds it, and the
-    window's odd numbers are then tried one by one (a composite one has a
-    prime factor below 2^11, so it never divides R).  What is left of R has
-    no prime factor up to its own cube root, so it is 1, P, P^2 or PQ, and
-    only P^2, which exact_sqrt spots, adds to the answer
-    (Crandall-Pomerance, Prime Numbers, 5.1.2).  R >= 2^63 goes to
-    factorize, Pollard rho and its budget included.
+    no prime that divides n only once needs to be split off, and no prime
+    above the cube root of what is left: a number with no prime factor up
+    to its own cube root is 1, P, P^2 or PQ, and only P^2, which
+    exact_sqrt spots, adds to the answer (Crandall-Pomerance, Prime
+    Numbers, 5.1.2).  So trial division by the primes below 2^16 stops at
+    the first block whose least prime p has p^3 > R, R being what is left
+    by then: on the README grid, after a median of 3 of the 103 blocks.
+    An R that outlasts every block and is below 2^63 needs no Pollard rho
+    either: each prime of a composite R up to its cube root lies in a
+    window whose low end lo has lo^3 <= R (windows below 2^21 suffice); a
+    gcd with the window's product finds it, and the window's odd numbers
+    are then tried one by one (a composite one has a prime factor below
+    2^11, so it never divides R).  Only where such a window exists is R
+    tested for primality.  R >= 2^63 goes to factorize, Pollard rho and
+    its budget included.
     """
-    factors, rest = _trial_division(n)
+    factors, rest = _trial_division(n, 3)
     if rest >= _CUBE_SCAN_LIMIT:
         factors.update(factorize(rest))
-    elif rest > 1 and not is_prime(rest):
+        rest = 1
+    elif rest >= _WINDOW_SCAN_FLOOR and not is_prime(rest):
         for i in count():
             lo = _SIEVE_LIMIT + 1 + 2 * _WINDOW * i
             if lo**3 > rest:
@@ -259,9 +270,9 @@ def square_part_root(n: int) -> dict[int, int]:
                 while rest % d == 0:
                     factors[d] = factors.get(d, 0) + 1
                     rest //= d
-        root = exact_sqrt(rest)
-        if rest > 1 and root is not None:
-            factors[root] = 2
+    root = exact_sqrt(rest)
+    if rest > 1 and root is not None:
+        factors[root] = 2
     return {p: e // 2 for p, e in factors.items() if e > 1}
 
 

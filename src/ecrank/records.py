@@ -14,6 +14,7 @@ on disk, after checking that the same spec wrote them.
 from __future__ import annotations
 
 import json
+import marshal
 import multiprocessing
 import os
 import time
@@ -297,10 +298,18 @@ def recheck_diff(record: dict) -> str | None:
     None when the recomputation reproduces the record exactly (timings
     aside); otherwise the cause: the JSON path of the first field that
     differs, such as "torsion.reduction_counts[2][1]", or
-    "exception: <Class>" when the record cannot be rebuilt at all.  One
-    walk over both records decides this, without serializing either.  It
-    checks types, key order and lengths as well as values, so `true`
+    "exception: <Class>" when the record cannot be rebuilt at all.
+
+    Types, key order and lengths count as well as values, so `true`
     against `1`, or reordered keys, differ here as in the serialized lines.
+    One C-level comparison of the two records' marshal bytes decides
+    "identical".  Version 2 writes no back-references and no interning
+    flags (both arrive in version 3), so equal bytes mean equal exact
+    types, equal key order and equal values.  The rebuilt record holds no
+    floats, so there is no NaN for which equal bytes and == disagree.  The
+    walk of _first_difference, the only place that names a differing
+    field, runs only when the bytes differ, or when marshal refuses a
+    subclass of dict, list, str or int, which json.loads never makes.
     """
     try:
         params = params_from_record(record)
@@ -316,6 +325,11 @@ def recheck_diff(record: dict) -> str | None:
         return f"exception: {type(exc).__name__}"
     stored = {k: v for k, v in record.items() if k != "timings"}
     fresh = {k: v for k, v in fresh.items() if k != "timings"}
+    try:
+        if marshal.dumps(stored, 2) == marshal.dumps(fresh, 2):
+            return None
+    except ValueError:  # a subclass of a JSON type: the walk compares exact types
+        pass
     steps = _first_difference(stored, fresh)
     return None if steps is None else _json_path(steps)
 

@@ -153,10 +153,12 @@ def integral_torsion_candidates(curve: Curve) -> list[Point]:
     infinite order) and is settled by the order test.
 
     The y with y^2 | Delta are the divisors of arith.square_part_root(Delta),
-    which finds only the square part of Delta: trial division below 2^16,
-    then, for a cofactor R below 2^63, gcds with a lazily sieved table of
-    prime-window products up to the cube root of R.  Delta is factored in
-    full, by Pollard rho, only when that cofactor is 2^63 or more.
+    which finds only the square part of Delta from the primes up to the
+    cube root of what is left: the sieved primes below 2^16, then, for a
+    cofactor R below 2^63 that outlasts them, gcds with a lazily sieved
+    table of prime-window products up to the cube root of R.  Delta is
+    factored in full, by Pollard rho, only when that cofactor is 2^63 or
+    more.
 
     Each y goes to exact root extraction only if y^2 mod n is a value of
     x^3 + bx + c mod n for every n in _CANDIDATE_MODULI.  The tables are

@@ -189,6 +189,10 @@ def test_factorize_blocks_match_trial_division():
         assert got[: len(sieved)] == sieved, n
 
 
+# Primes above 2^8 and below 2^16, in four different blocks of 64: p^2 q
+# and p q with p < q leave the cube-root scan below 2^16 before q's block.
+BETWEEN_2_8_AND_2_16 = (257, 1031, 4099, 65521)
+
 # Primes on both sides of 2^16 and 2^21.  65537 and 2073601 are the low
 # ends of windows of the segment table, so their cubes sit exactly on the
 # lo^3 <= R bound of square_part_root.
@@ -204,9 +208,20 @@ def _square_part_oracle(n):
     return {p: e // 2 for p, e in factorize(n).items() if e > 1}
 
 
+def _block_starts():
+    """The least primes of the 2nd and of the last block of 64: their cubes
+    sit exactly on the p^3 > R bound of the scan below 2^16."""
+    blocks = arith._trial_blocks()
+    return blocks[1][0][0], blocks[-1][0][0]
+
+
 def _planted():
+    cases = [c * p**3 for p in _block_starts() for c in (1, 16)]
+    low = BETWEEN_2_8_AND_2_16
+    cases += [p * p * q for p, q in combinations(low, 2)]
+    cases += [p * q for p, q in combinations(low, 2)]
     mid = BETWEEN_2_16_AND_2_21 + ABOVE_2_21
-    cases = [p * p for p in BELOW_2_16 + mid + NEAR_2_31]
+    cases += [p * p for p in BELOW_2_16 + mid + NEAR_2_31]
     cases += [p**3 for p in BELOW_2_16 + mid]
     cases += [p * p * q for p, q in permutations(mid, 2)]
     cases += [p * q for p, q in combinations(mid + NEAR_2_31, 2)]
@@ -225,7 +240,7 @@ def _family_discriminants():
 
 
 def _cofactor(n):
-    """What trial division below 2^16 leaves of n."""
+    """What trial division by every prime below 2^16 leaves of n."""
     return prod(p**e for p, e in factorize(n).items() if p > 1 << 16)
 
 
@@ -238,6 +253,26 @@ def test_square_part_root_matches_factorize():
     assert {c < 1 << 63 for c in cofactors} == {True, False}
     for n in cases:
         assert square_part_root(n) == _square_part_oracle(n), n
+
+
+def test_square_part_root_stops_at_the_cube_root_below_2_16(monkeypatch):
+    for p, q in combinations(BETWEEN_2_8_AND_2_16, 2):
+        for n in (p * p * q, p * q):
+            _, rest = arith._trial_division(n, 3)
+            assert rest % q == 0, (p, q)  # q's block was never reached
+            assert square_part_root(n) == _square_part_oracle(n), (p, q)
+    for p in _block_starts():
+        assert arith._trial_division(16 * p**3, 3) == ({2: 4, p: 3}, 1)
+    # on the README grid |Delta| / 16 < (2^16 + 1)^3, so the scan ends below
+    # 2^16 and no primality test is needed to settle what it leaves
+    grid = _family_discriminants()[-50:]
+    want = [_square_part_oracle(n) for n in grid]
+
+    def no_test(n):
+        raise AssertionError(f"is_prime({n})")
+
+    monkeypatch.setattr(arith, "is_prime", no_test)
+    assert [square_part_root(n) for n in grid] == want
 
 
 def test_square_part_root_settles_below_2_63_without_rho(monkeypatch):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import random
 import signal
 from pathlib import Path
 
@@ -412,6 +413,64 @@ def test_recheck_diff_is_exact_where_dict_equality_is_not():
     assert seeded["probe"]["points"][0]["classes"]["c_combined"]["nonzero"] is False
     zeroed = lambda t: t["probe"]["points"][0]["classes"]["c_combined"].update(nonzero=0)
     assert tamper(seeded, zeroed) == "probe.points[0].classes.c_combined.nonzero"
+
+
+def test_recheck_diff_names_types_json_never_makes():
+    # a caller can hand recheck a tuple or a dict subclass; marshal writes
+    # the tuple under its own type code and refuses the subclass, and the
+    # walk names both
+    rec = json.loads(record_to_line(_fast_record()))
+    tupled = json.loads(record_to_line(rec))
+    tupled["torsion"]["reduction_counts"][2] = tuple(tupled["torsion"]["reduction_counts"][2])
+    assert recheck_diff(tupled) == "torsion.reduction_counts[2]"
+
+    class Params(dict):
+        pass
+
+    subclassed = json.loads(record_to_line(rec))
+    subclassed["params"] = Params(subclassed["params"])
+    assert subclassed == rec
+    assert recheck_diff(subclassed) == "params"
+
+
+def _digit_slots(node, path, slots):
+    """(container, key, JSON path) of every string that holds a digit."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        step = f"[{key}]" if isinstance(key, int) else f".{key}" if path else key
+        if isinstance(value, (dict, list)):
+            _digit_slots(value, path + step, slots)
+        elif isinstance(value, str) and any(ch.isdigit() for ch in value):
+            slots.append((node, key, path + step))
+
+
+def test_recheck_diff_compares_bytes_before_it_walks(monkeypatch):
+    lines = GRID_SEED.read_text().splitlines()
+
+    def no_walk(stored, fresh):
+        raise AssertionError("the walk ran on an identical record")
+
+    def strip(record):
+        return {k: v for k, v in record.items() if k != "timings"}
+
+    # equal marshal bytes decide "identical" on every seed record, which a
+    # marshal.dumps at its default version, with its interning flags and
+    # back-references, would not
+    monkeypatch.setattr(records, "_first_difference", no_walk)
+    assert all(recheck_diff(json.loads(line)) is None for line in lines)
+    monkeypatch.undo()
+    # a one-digit tampering anywhere but params, which recheck rebuilds
+    # from, is named where the walk, called directly, names it
+    rng = random.Random(15)
+    for line in lines:
+        rec, tampered, slots = json.loads(line), json.loads(line), []
+        _digit_slots(tampered, "", slots)
+        container, key, path = rng.choice([s for s in slots if not s[2].startswith("params.")])
+        text = container[key]
+        pos = rng.choice([i for i, ch in enumerate(text) if ch.isdigit()])
+        container[key] = text[:pos] + str((int(text[pos]) + 1) % 10) + text[pos + 1 :]
+        direct = records._json_path(records._first_difference(strip(tampered), strip(rec)))
+        assert recheck_diff(tampered) == direct == path
 
 
 @pytest.mark.parametrize("options", [
