@@ -270,7 +270,7 @@ def _square_digits(n: int) -> bytes:
 
 
 _SQUARE_DIGITS = {n: _square_digits(n) for n in _SIEVE_MODULI}
-_SIEVE_BLOCK = 1 << 18  # numerators per sieve block: a 32 KB integer at any height bound
+_SIEVE_BLOCK = 1 << 18  # progression terms per sieve block: a 32 KB integer at any height bound
 
 
 def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[Point]:
@@ -284,43 +284,56 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
     x in the box is u/w^2 in lowest terms for exactly one w <= den_bound and
     one u with |u| <= height_bound * w^2 and gcd(u, w) = 1; scanning those
     pairs visits each x once.  Clearing denominators, rhs(u/w^2) =
-    F(u)/w^6 with F(u) = u^3 + b w^4 u + c w^6, and F(u) = u^3 (mod w) is
+    F(u)/w^6 with F(u) = u^3 + w^4 (bu + c w^2), and F(u) = u^3 (mod w) is
     prime to w, so rhs(x) is a rational square exactly when F(u) is a
     perfect square, and then y = sqrt(F(u))/w^3.
 
+    Only the progression u = k v + a can carry a point, where k is 8 when
+    2 | w, times 3 when 3 | w, and a = 1 mod k (k = 1 scans every u).  The
+    proof: u is prime to w and F(u) = u^3 (mod w^4).  When 2 | w, 16 | w^4,
+    so F(u) = s^2 is odd, s^2 = 1 (mod 8) and u^3 = 1 (mod 8); cubing fixes
+    every odd residue mod 8, so u = 1 (mod 8).  When 3 | w, s^2 = u^3 = u
+    != 0 (mod 3), so u = 1 (mod 3).  No y = 0 point is lost: F(u) = 0 would
+    make u^3 a multiple of w^4, so every prime of w would divide u.
+
     Before any square root, a ratpoints-style sieve (M. Stoll) strikes out
-    every u whose F(u) is a non-residue modulo 16 or a small odd prime.
-    For each modulus n, the residues that pass form an n-bit mask, tiled by
-    doubling once per w.  A block of numerators from `start` is one integer
-    whose bit i stands for u = start + i; it is ANDed with each tile
-    shifted right by start mod n, and the set bits left are walked in its
-    binary digits.  The sieve only filters: each survivor is confirmed by
-    exact_sqrt, so the result does not depend on the moduli.
+    every v whose F(k v + a) is a non-residue modulo 16 or a small odd
+    prime.  For each modulus n, the residues of v that pass form an n-bit
+    mask, tiled by doubling once per w.  A block of the progression from
+    `start` is one integer whose bit i stands for v = start + i; it is
+    ANDed with each tile shifted right by start mod n, and the set bits
+    left are walked in its binary digits.  The sieve only filters: each
+    survivor is confirmed by exact_sqrt, so the result does not depend on
+    the moduli.
     """
     found: list[Point] = []
     for w in range(1, den_bound + 1):
         w2 = w * w
         bw4, cw6 = curve.b * w2 * w2, curve.c * w2 * w2 * w2
         hi = height_bound * w2
-        width = min(_SIEVE_BLOCK, 2 * hi + 1)
+        k = (8 if w % 2 == 0 else 1) * (3 if w % 3 == 0 else 1)
+        a = 1 % k
+        lo, last = -((hi + a) // k), (hi - a) // k  # |k v + a| <= hi for lo <= v <= last
+        width = min(_SIEVE_BLOCK, last - lo + 1)
+        tables = polys.cubic_value_tables(bw4, cw6, _SIEVE_MODULI, k, a)
         tiles = []
-        for n, values in zip(_SIEVE_MODULI, polys.cubic_value_tables(bw4, cw6, _SIEVE_MODULI)):
-            # digit r of the reversed string is 1 when F(r) is a square mod n
+        for n, values in zip(_SIEVE_MODULI, tables):
+            # digit r of the reversed string is 1 when F(k r + a) is a square mod n
             tile = int(bytes(values).translate(_SQUARE_DIGITS[n])[::-1], 2)
             span = n
             while span < width + n:  # bit i is residue i mod n, for i < width + n
                 tile |= tile << span
                 span *= 2
             tiles.append((n, tile))
-        for start in range(-hi, hi + 1, _SIEVE_BLOCK):
-            alive = (1 << min(_SIEVE_BLOCK, hi + 1 - start)) - 1
+        for start in range(lo, last + 1, _SIEVE_BLOCK):
+            alive = (1 << min(_SIEVE_BLOCK, last + 1 - start)) - 1
             for n, tile in tiles:
                 alive &= tile >> (start % n)
-            digits = f"{alive:b}"  # digit j stands for u = top - j
+            digits = f"{alive:b}"  # digit j stands for v = top - j
             top = start + len(digits) - 1
             j = digits.find("1")
             while j >= 0:
-                u = top - j
+                u = k * (top - j) + a
                 f = u * u * u + bw4 * u + cw6
                 if gcd(u, w) == 1:
                     s = exact_sqrt(f)

@@ -63,11 +63,15 @@ def evaluate_mod(coeffs, x: int, mod: int) -> int:
     return acc
 
 
-def cubic_value_tables(b: int, c: int, moduli: tuple[int, ...]) -> list[list[int]]:
-    """Value tables of x^3 + bx + c, one per modulus: entry r of the table
-    for n is r^3 + br + c mod n, for 0 <= r < n.  The exact values are
-    computed once, up to the largest modulus, and reduced for each n."""
-    exact = [r * (r * r + b) + c for r in range(max(moduli))]
+def cubic_value_tables(
+    b: int, c: int, moduli: tuple[int, ...], step: int = 1, offset: int = 0
+) -> list[list[int]]:
+    """Value tables of f(x) = x^3 + bx + c along the progression
+    x = step * r + offset, one per modulus: entry r of the table for n is
+    f(step * r + offset) mod n, for 0 <= r < n, which has period n in r.
+    The exact values are computed once, up to the largest modulus, and
+    reduced for each n."""
+    exact = [x * (x * x + b) + c for x in range(offset, offset + step * max(moduli), step)]
     return [[v % n for v in exact[:n]] for n in moduli]
 
 

@@ -457,7 +457,11 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
     order, so the file, progress calls and returned lines are the same for
     any k.  An exception in a worker is raised here at its combo's turn,
     and no worker outlives the call.
+
+    Raises ValueError for threads below 1, before the file is touched.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     combos = spec.combos()
     opts = {
         "reduction_primes": spec.num_reduction_primes,

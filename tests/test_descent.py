@@ -202,10 +202,22 @@ def _fraction_scans(curve, height_bound, den_bound):
     return results
 
 
+def _progression_residues(points):
+    """(w^2, u mod 16) for points u/4 and (w^2, u mod 9) for points u/9:
+    the residues that tell the progressions u = 1 (mod 8) and u = 1 (mod 3)
+    from the longer steps 16 and 9."""
+    return {
+        (p.x.denominator, p.x.numerator % (16 if p.x.denominator == 4 else 9))
+        for p in points
+        if p.x.denominator in (4, 9)
+    }
+
+
 def test_search_points_matches_fraction_scan():
     """Family members, small random curves, y = 0 points (Curve(-1, 0)),
     negative x and x with denominator 4 or 9 (Curve(-12, -10): -7/4, 55/9;
-    Curve(-11, -6): -11/9)."""
+    Curve(-11, -6): -11/9), up to D = 6 so that every progression step
+    k in {1, 3, 8, 24} is scanned."""
     rng = random.Random(2024)
     curves = [Curve(-1, 0), Curve(-12, -10), Curve(-11, -6), Curve(-12, 0)]
     curves += [
@@ -216,14 +228,16 @@ def test_search_points_matches_fraction_scan():
         b, c = rng.randint(-30, 30), rng.randint(-30, 30)
         if 4 * b**3 + 27 * c**2 != 0:
             curves.append(Curve(b, c))
-    denominators = set()
+    denominators, residues = set(), set()
     for curve in curves:
-        for height in (0, 1, 30, 200):
-            for den, expected in enumerate(_fraction_scans(curve, height, 4), start=1):
+        for height, den_bound in ((0, 6), (1, 6), (30, 6), (200, 4)):
+            for den, expected in enumerate(_fraction_scans(curve, height, den_bound), start=1):
                 found = search_points(curve, height, den)
                 assert found == expected, (curve, height, den)
                 denominators.update(p.x.denominator for p in found)
+                residues |= _progression_residues(found)
     assert {1, 4, 9} <= denominators
+    assert {(4, 9), (9, 4), (9, 7)} <= residues
 
 
 def test_search_points_finds_planted_large_point():
@@ -277,7 +291,7 @@ def _bytearray_search(curve, height_bound, den_bound, block=1 << 16):
 
 def test_search_points_matches_bytearray_sieve():
     """Heights whose numerator range spans several sieve blocks, H = 0 and
-    1, D up to 4, family members and non-family curves with c < 0."""
+    1, D up to 6, family members and non-family curves with c < 0."""
     rng = random.Random(31)
     curves = [build_family_curve(FamilyParams(m, *trip))
               for m, trip in ((2, (3, 7, 11)), (34, (3, 5, 7)), (66, (5, 7, 13)))]
@@ -287,13 +301,17 @@ def test_search_points_matches_bytearray_sieve():
         if 4 * b**3 + 27 * c**2 != 0:
             curves.append(Curve(b, c))
     tall = descent._SIEVE_BLOCK // 4 + 1  # at w = 2 the range spans more than 2 blocks
-    found = 0
+    found, denominators, residues = 0, set(), set()
     for curve in curves:
-        for height, den in ((0, 4), (1, 4), (2, 1), (777, 3), (5000, 4), (tall, 2)):
+        for height, den in ((0, 6), (1, 4), (2, 1), (777, 6), (5000, 4), (tall, 2)):
             expected = _bytearray_search(curve, height, den)
             assert search_points(curve, height, den) == expected, (curve, height, den)
             found += len(expected)
+            denominators.update(p.x.denominator for p in expected)
+            residues |= _progression_residues(expected)
     assert found >= 80
+    assert 36 in denominators  # a point at w = 6, where the step is 24
+    assert {(4, 9), (9, 7)} <= residues
     # a planted integral point in the second of three blocks at w = 1
     block = descent._SIEVE_BLOCK
     for x0 in (block // 3, block - 5):
@@ -303,6 +321,30 @@ def test_search_points_matches_bytearray_sieve():
         expected = _bytearray_search(curve, block, 1)
         assert Point(x0, y0) in expected
         assert search_points(curve, block, 1) == expected
+
+
+def test_search_progression_lemma_over_residues():
+    """The lemma behind search_points' progressions, checked on every
+    residue.  F(u) = u^3 + b w^4 u + c w^6 mod 16 and mod 3 depends only on
+    u, b, c and w mod 16 and mod 3.  At even w only u = 1 (mod 8) can make
+    F(u) an odd square, and when 3 | w only u = 1 (mod 3) can make it a
+    square prime to 3."""
+    squares16, squares3 = {r * r % 16 for r in range(16)}, {r * r % 3 for r in range(3)}
+    for u in range(1, 16, 2):
+        assert (u**3 % 16 in squares16) == (u % 8 == 1), u
+    assert 2**3 % 3 not in squares3
+    for w in range(0, 16, 2):
+        for b in range(16):
+            for c in range(16):
+                for u in range(1, 16, 2):
+                    f = (u**3 + b * w**4 * u + c * w**6) % 16
+                    assert f == u**3 % 16
+                    assert f not in squares16 or u % 8 == 1
+    for b in range(3):
+        for c in range(3):
+            for u in (1, 2):
+                f = (u**3 + b * 3**4 * u + c * 3**6) % 3
+                assert f not in squares3 or u == 1
 
 
 def test_probe_rejects_negative_bounds():

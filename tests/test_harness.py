@@ -480,8 +480,10 @@ def test_recheck_diff_compares_bytes_before_it_walks(monkeypatch):
     ["--m-list", "2", "--prime-pool", "3,3,5", "--format", "csv"],
     ["--m-list", "0,2", "--prime-pool", "3,5,7"],
     ["--m-list", "2", "--prime-pool", "3,5,7", "--reduction-primes", "0"],
+    ["--m-list", "2", "--prime-pool", "3,5,7", "--threads", "0"],
+    ["--m-list", "2", "--prime-pool", "3,5,7", "--threads", "-2"],
 ], ids=["no-m", "no-m-csv", "two-distinct-primes", "two-distinct-primes-csv", "m-zero",
-        "no-reduction-primes"])
+        "no-reduction-primes", "zero-threads", "negative-threads"])
 def test_cli_sweep_rejects_empty_or_bad_spec_before_writing(tmp_path, capsys, options):
     out = tmp_path / "out"
     assert main(["sweep", *options, "--no-probe", "--out", str(out)]) == 2
