@@ -1,14 +1,12 @@
 """Integer plumbing: primality, factorization, divisors, exact square roots.
 
-Nagell-Lutz needs only the square part of the discriminant, and
-square_part_root finds it without factoring all of it.  It tries primes
-only up to the cube root of what is left, since a number with no prime
-factor up to its cube root is 1, P, P^2 or PQ: first the sieved primes
-below 2^16, then, for a cofactor R below 2^63, gcds with window products
-of the primes up to the cube root of R, from a table sieved lazily one
-2^16-wide segment at a time (about 0.45 MB up to 2^21).  Pollard rho runs
-only on cofactors from 2^63 up, inside factorize, which stays the full
-factorization and trial-divides up to the square root.
+factorize and square_part_root share one trial-division scan over one table
+of prime products, one per window of 512 odd numbers: cut from the sieved
+primes below 2^16, and above that sieved lazily one 2^16-wide segment at a
+time (about 0.47 MB up to 2^21).  factorize scans below 2^16 up to the
+square root and hands what is left to Pollard rho.  Nagell-Lutz needs only
+the square part of the discriminant, so square_part_root scans only up to
+the cube root of what is left, and settles cofactors below 2^63 without rho.
 
 Everything here is deterministic.  Pollard rho walks a fixed parameter
 schedule, so identical inputs always factor the same way; that property is
@@ -19,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, islice
 from math import gcd, isqrt, prod
 
 from .errors import FactorizationIncomplete
@@ -36,10 +34,9 @@ _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 _SIEVE_LIMIT = 1 << 16
 
-_TRIAL_BLOCK = 64  # consecutive small primes per gcd test in _trial_division
 _WINDOW = 512  # consecutive odd numbers per product in the segment table
 _CUBE_SCAN_LIMIT = 1 << 63  # (2^21)^3: cofactors below it are settled without rho
-_WINDOW_SCAN_FLOOR = (_SIEVE_LIMIT + 1) ** 3  # the first window's low end, cubed
+_WINDOW_SCAN_FLOOR = (_SIEVE_LIMIT + 1) ** 3  # segment 1's first low end, cubed
 _RHO_BUDGET = 5_000_000  # Pollard rho iterations per composite before factorize gives up
 
 
@@ -70,14 +67,6 @@ def small_primes() -> list[int]:
     flags = _odd_sieve(0, range(3, isqrt(_SIEVE_LIMIT), 2))
     flags[0] = 0  # 1 is not prime
     return [2, *compress(range(1, _SIEVE_LIMIT, 2), flags)]
-
-
-@cache
-def _trial_blocks() -> list[tuple[tuple[int, ...], int]]:
-    """The sieved primes in runs of _TRIAL_BLOCK, each with its product."""
-    primes = small_primes()
-    blocks = [tuple(primes[i : i + _TRIAL_BLOCK]) for i in range(0, len(primes), _TRIAL_BLOCK)]
-    return [(block, prod(block)) for block in blocks]
 
 
 def _mr_witness_says_composite(a: int, n: int, d: int, s: int) -> bool:
@@ -158,30 +147,68 @@ def _pollard_rho(n: int, budget: int) -> int:
     raise FactorizationIncomplete(f"rho parameter schedule exhausted on {n}")
 
 
-def _trial_division(n: int, root: int = 2) -> tuple[dict[int, int], int]:
-    """The primes below 2^16 in |n| as {prime: exponent}, and the cofactor.
+@cache
+def _segment_windows(k: int) -> tuple[int, ...]:
+    """Products of the odd primes in [k 2^16, (k + 1) 2^16), one per window
+    of _WINDOW consecutive odd numbers, in increasing order.
 
-    The primes go a block at a time: one gcd with the block's product shows
-    whether any of them divides n, and only then is n divided by each.
-    Once every block is used, the cofactor has no prime factor below 2^16.
-    The loop stops early at the first block whose least prime p has
-    p^root > n, n being what is left by then; that cofactor has no prime
-    factor below p, so it has fewer than root prime factors counted with
-    multiplicity: 1 or prime for root = 2, and 1, P, P^2 or PQ for 3.
+    Segment 0 is cut from small_primes().  Any other segment below 2^32 is
+    sieved on its own, odd numbers only, by the primes from 7 to below
+    2^16.  Only the odd numbers prime to 15 are read off the sieve, one
+    residue class mod 30 at a time (index j of flags[j::15] stands for
+    base + 2j + 1 plus a multiple of 30), so multiples of 3 and 5 are
+    neither marked nor walked; the primes are merged back into order and
+    live only while the segment is built.
+    """
+    base = k * _SIEVE_LIMIT
+    if k == 0:
+        primes = small_primes()[1:]
+    else:
+        flags = _odd_sieve(base, islice(small_primes(), 3, None))
+        starts = [base + 2 * j + 1 for j in range(15)]
+        classes = [
+            compress(range(start, base + _SIEVE_LIMIT, 30), flags[j::15])
+            for j, start in enumerate(starts)
+            if start % 3 and start % 5
+        ]
+        primes = sorted(chain.from_iterable(classes))
+    cuts = [bisect_left(primes, lo) for lo in range(base, base + _SIEVE_LIMIT, 2 * _WINDOW)]
+    return tuple(prod(primes[a:b]) for a, b in zip(cuts, [*cuts[1:], len(primes)]))
+
+
+def _trial_division(n: int, root: int, segments: range) -> tuple[dict[int, int], int]:
+    """The primes of |n| that a scan of the table's `segments` finds, as
+    {prime: exponent} in increasing order, and the cofactor.
+
+    After the 2s, one gcd g per window shows whether any of its primes
+    divides n, n being what is left by then.  Only on a hit are the
+    window's odd numbers d tried, from its low end (from 3 in window 0)
+    until g is used up: a composite d cannot divide g, and once g < d^2 what
+    is left of g is one prime.  The scan stops at the first window whose
+    low end lo has lo^root > n, so n has no prime factor below lo and fewer
+    than root prime factors: 1 or prime for root = 2, 1, P, P^2 or PQ for 3.
     """
     n = abs(n)
-    factors: dict[int, int] = {}
-    for block, block_product in _trial_blocks():
-        if block[0] ** root > n:
-            break
-        g = gcd(n, block_product)
-        if g == 1:
-            continue
-        for p in block:
-            if g % p == 0:
-                while n % p == 0:
-                    factors[p] = factors.get(p, 0) + 1
-                    n //= p
+    twos = two_adic_valuation(n) if n else 0
+    factors = {2: twos} if twos else {}
+    n >>= twos
+    for k in segments:
+        base = k * _SIEVE_LIMIT
+        for j, lo in enumerate(range(base + 1, base + _SIEVE_LIMIT, 2 * _WINDOW)):
+            if lo**root > n:
+                return factors, n
+            g = gcd(n, _segment_windows(k)[j])
+            d = max(lo, 3)
+            while g > 1:
+                if g < d * d:
+                    d = g
+                if g % d == 0:
+                    g //= d
+                    factors[d] = 0
+                    while n % d == 0:
+                        factors[d] += 1
+                        n //= d
+                d += 2
     return factors, n
 
 
@@ -194,7 +221,7 @@ def factorize(n: int) -> dict[int, int]:
     """
     if abs(n) <= 1:
         return {}
-    factors, n = _trial_division(n)
+    factors, n = _trial_division(n, 2, range(1))
     stack = [n]
     while stack:
         m = stack.pop()
@@ -209,31 +236,6 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-@cache
-def _segment_windows(k: int) -> tuple[int, ...]:
-    """Products of the primes in [k 2^16, (k + 1) 2^16), k >= 1, one per
-    window of _WINDOW consecutive odd numbers, in increasing order.
-
-    The odd-only sieve by the primes from 7 to below 2^16 covers every
-    segment below 2^32.  Only the odd numbers prime to 15 are read off it,
-    one residue class mod 30 at a time (index j of flags[j::15] stands for
-    base + 2j + 1 plus a multiple of 30), so multiples of 3 and 5 are
-    neither marked nor walked; the primes are merged back into order and
-    cut at the window bounds.  They live only while the segment is built.
-    """
-    base = k * _SIEVE_LIMIT
-    flags = _odd_sieve(base, islice(small_primes(), 3, None))
-    starts = [base + 2 * j + 1 for j in range(15)]
-    classes = [
-        compress(range(start, base + _SIEVE_LIMIT, 30), flags[j::15])
-        for j, start in enumerate(starts)
-        if start % 3 and start % 5
-    ]
-    primes = sorted(chain.from_iterable(classes))
-    cuts = [bisect_left(primes, base + 2 * i) for i in range(0, _SIEVE_LIMIT // 2, _WINDOW)]
-    return tuple(prod(primes[a:b]) for a, b in zip(cuts, [*cuts[1:], len(primes)]))
-
-
 def square_part_root(n: int) -> dict[int, int]:
     """{p: e // 2} over the p^e || n with e >= 2.
 
@@ -242,34 +244,18 @@ def square_part_root(n: int) -> dict[int, int]:
     above the cube root of what is left: a number with no prime factor up
     to its own cube root is 1, P, P^2 or PQ, and only P^2, which
     exact_sqrt spots, adds to the answer (Crandall-Pomerance, Prime
-    Numbers, 5.1.2).  So trial division by the primes below 2^16 stops at
-    the first block whose least prime p has p^3 > R, R being what is left
-    by then: on the README grid, after a median of 3 of the 103 blocks.
-    An R that outlasts every block and is below 2^63 needs no Pollard rho
-    either: each prime of a composite R up to its cube root lies in a
-    window whose low end lo has lo^3 <= R (windows below 2^21 suffice); a
-    gcd with the window's product finds it, and the window's odd numbers
-    are then tried one by one (a composite one has a prime factor below
-    2^11, so it never divides R).  Only where such a window exists is R
-    tested for primality.  R >= 2^63 goes to factorize, Pollard rho and
-    its budget included.
+    Numbers, 5.1.2).  A composite cofactor R below 2^63 that outlasts the
+    scan below 2^16 needs no Pollard rho either: the scan goes on up to
+    2^21, the cube root of 2^63.  R >= 2^63 goes to factorize, Pollard rho
+    and its budget included.
     """
-    factors, rest = _trial_division(n, 3)
+    factors, rest = _trial_division(n, 3, range(1))
     if rest >= _CUBE_SCAN_LIMIT:
         factors.update(factorize(rest))
         rest = 1
     elif rest >= _WINDOW_SCAN_FLOOR and not is_prime(rest):
-        for i in count():
-            lo = _SIEVE_LIMIT + 1 + 2 * _WINDOW * i
-            if lo**3 > rest:
-                break
-            k, j = divmod(i, _SIEVE_LIMIT // (2 * _WINDOW))
-            if gcd(rest, _segment_windows(k + 1)[j]) == 1:
-                continue
-            for d in range(lo, lo + 2 * _WINDOW, 2):
-                while rest % d == 0:
-                    factors[d] = factors.get(d, 0) + 1
-                    rest //= d
+        more, rest = _trial_division(rest, 3, range(1, 32))
+        factors.update(more)
     root = exact_sqrt(rest)
     if rest > 1 and root is not None:
         factors[root] = 2
@@ -308,8 +294,4 @@ def two_adic_valuation(n: int) -> int:
     if n == 0:
         raise ValueError("2-adic valuation of 0 is unbounded")
     n = abs(n)
-    k = 0
-    while n % 2 == 0:
-        n //= 2
-        k += 1
-    return k
+    return (n & -n).bit_length() - 1

@@ -299,8 +299,9 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
     Before any square root, a ratpoints-style sieve (M. Stoll) strikes out
     every v whose F(k v + a) is a non-residue modulo 16 or a small odd
     prime.  For each modulus n, the residues of v that pass form an n-bit
-    mask, tiled by doubling once per w.  A block of the progression from
-    `start` is one integer whose bit i stands for v = start + i; it is
+    mask, tiled by doubling once per w; a modulus where every residue
+    passes, such as 16 at even w, gets no tile.  A block of the progression
+    from `start` is one integer whose bit i stands for v = start + i; it is
     ANDed with each tile shifted right by start mod n, and the set bits
     left are walked in its binary digits.  The sieve only filters: each
     survivor is confirmed by exact_sqrt, so the result does not depend on
@@ -318,8 +319,11 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
         tables = polys.cubic_value_tables(bw4, cw6, _SIEVE_MODULI, k, a)
         tiles = []
         for n, values in zip(_SIEVE_MODULI, tables):
+            squares = bytes(values).translate(_SQUARE_DIGITS[n])
+            if b"0" not in squares:
+                continue  # every residue passes: the tile would strike nothing
             # digit r of the reversed string is 1 when F(k r + a) is a square mod n
-            tile = int(bytes(values).translate(_SQUARE_DIGITS[n])[::-1], 2)
+            tile = int(squares[::-1], 2)
             span = n
             while span < width + n:  # bit i is residue i mod n, for i < width + n
                 tile |= tile << span

@@ -1,15 +1,18 @@
-"""Torsion certification by three independent routes.
+"""Torsion certification.  A record's verdict rests on routes 1 and 2,
+beside the family congruences that family.cite_obstructions cites.
 
 1. Reduction bound: the torsion group injects into E(F_ell) for every odd
    prime ell of good reduction, so its order divides the gcd of the counts.
 2. Nagell-Lutz enumeration: rational torsion points on an integral model
    are integral with y = 0 or y^2 | Delta; each candidate is order-tested
    up to 12, the largest order a rational point can have.
-3. Division polynomials: a rational point of exact order n has integral
-   x-coordinate that is a root of psi_n, so "psi_n has no integer root"
-   certifies that no order-n point exists.  Orders 2, 3, 5, 7 are the only
-   prime orders a rational torsion point can have, so clearing all four
-   already forces the group to be trivial.
+3. Division polynomials, a library cross-check that the tests compare with
+   routes 1 and 2 (building a record never runs psi_3, psi_5 or psi_7): a
+   rational point of exact order n has integral x-coordinate that is a
+   root of psi_n, so "psi_n has no integer root" certifies that no order-n
+   point exists.  Orders 2, 3, 5, 7 are the only prime orders a rational
+   torsion point can have, so clearing all four already forces the group
+   to be trivial.
 """
 from __future__ import annotations
 
@@ -154,11 +157,10 @@ def integral_torsion_candidates(curve: Curve) -> list[Point]:
 
     The y with y^2 | Delta are the divisors of arith.square_part_root(Delta),
     which finds only the square part of Delta from the primes up to the
-    cube root of what is left: the sieved primes below 2^16, then, for a
-    cofactor R below 2^63 that outlasts them, gcds with a lazily sieved
-    table of prime-window products up to the cube root of R.  Delta is
-    factored in full, by Pollard rho, only when that cofactor is 2^63 or
-    more.
+    cube root of what is left, by gcds with a table of prime-window
+    products: below 2^16 first, then, for a cofactor R below 2^63 that
+    outlasts them, up to the cube root of R.  Delta is factored in full,
+    by Pollard rho, only when that cofactor is 2^63 or more.
 
     Each y goes to exact root extraction only if y^2 mod n is a value of
     x^3 + bx + c mod n for every n in _CANDIDATE_MODULI.  The tables are

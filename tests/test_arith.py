@@ -165,19 +165,24 @@ def _trial_division_oracle(n):
     return out
 
 
-def test_factorize_blocks_match_trial_division():
-    from ecrank.arith import _TRIAL_BLOCK
+def _segment_0_windows():
+    """The odd primes below 2^16 window by window, as the table cuts them."""
+    width = (1 << 16) // len(arith._segment_windows(0))
+    small = [p for p in ORACLE_PRIMES if 2 < p < 1 << 16]
+    return [small[bisect_left(small, lo) : bisect_left(small, lo + width)] for lo in range(0, 1 << 16, width)]
 
-    small = [p for p in ORACLE_PRIMES if p < 1 << 16]
-    blocks = [small[i : i + _TRIAL_BLOCK] for i in range(0, len(small), _TRIAL_BLOCK)]
-    ends = [(block[0], block[-1]) for block in blocks]
+
+def test_factorize_windows_match_trial_division():
+    windows = [w for w in _segment_0_windows() if w]
+    small = [p for w in windows for p in w]
+    ends = [(w[0], w[-1]) for w in windows]
     cases = [0, 1, -1, 2, -2, 65521**2, 65537 * 65539, -65521 * 65537, 2**20 * 3**5 * 65521]
     for (first, last), (next_first, _) in zip(ends, ends[1:] + [(65537, None)]):
         cases += [first, -last, first * last, last * last, last * next_first]
         cases.append(-(last**2) * next_first)
     rng = random.Random(13)
     for _ in range(300):
-        n = 1
+        n = rng.choice([1, 2, 8])
         while n < 1 << 17:
             n *= rng.choice(small[: rng.choice([20, len(small)])])
         cases.append(rng.choice([1, -1]) * n)
@@ -189,9 +194,29 @@ def test_factorize_blocks_match_trial_division():
         assert got[: len(sieved)] == sieved, n
 
 
-# Primes above 2^8 and below 2^16, in four different blocks of 64: p^2 q
-# and p q with p < q leave the cube-root scan below 2^16 before q's block.
+def test_trial_division_walks_a_hit_window_to_its_last_prime():
+    # several primes, and powers of them, behind one gcd hit: in window 0,
+    # where the walk starts from 3, and in the first window above 2^16
+    low = 3**5 * 5 * 7**2 * 1021
+    assert list(factorize(-low).items()) == [(3, 5), (5, 1), (7, 2), (1021, 1)]
+    assert arith._trial_division(low, 3, range(1)) == ({3: 5, 5: 1, 7: 2, 1021: 1}, 1)
+    assert square_part_root(low) == {3: 2, 7: 1}
+    high = 65537 * 65539**2
+    assert list(arith._trial_division(high, 3, range(1, 32))[0].items()) == [(65537, 1), (65539, 2)]
+    assert square_part_root(high) == {65539: 1}
+    assert square_part_root(16 * low * high) == {2: 2, 3: 2, 7: 1, 65539: 1}
+
+
+# Primes above 2^8 and below 2^16, in four different windows of the
+# table: p^2 q and p q with p < q leave the cube-root scan of segment 0
+# before q's window.
 BETWEEN_2_8_AND_2_16 = (257, 1031, 4099, 65521)
+
+# Primes below 2^16 whose cubes are planted: 313 and 65371 inside windows,
+# 12289 and 64513 at the low ends of windows 12 and 63, so that their cubes
+# sit exactly on the lo^3 <= R bound of the scan.
+INSIDE_WINDOWS = (313, 65371)
+WINDOW_LOW_ENDS = (12289, 64513)
 
 # Primes on both sides of 2^16 and 2^21.  65537 and 2073601 are the low
 # ends of windows of the segment table, so their cubes sit exactly on the
@@ -208,15 +233,8 @@ def _square_part_oracle(n):
     return {p: e // 2 for p, e in factorize(n).items() if e > 1}
 
 
-def _block_starts():
-    """The least primes of the 2nd and of the last block of 64: their cubes
-    sit exactly on the p^3 > R bound of the scan below 2^16."""
-    blocks = arith._trial_blocks()
-    return blocks[1][0][0], blocks[-1][0][0]
-
-
 def _planted():
-    cases = [c * p**3 for p in _block_starts() for c in (1, 16)]
+    cases = [c * p**3 for p in INSIDE_WINDOWS for c in (1, 16)]
     low = BETWEEN_2_8_AND_2_16
     cases += [p * p * q for p, q in combinations(low, 2)]
     cases += [p * q for p, q in combinations(low, 2)]
@@ -227,7 +245,8 @@ def _planted():
     cases += [p * q for p, q in combinations(mid + NEAR_2_31, 2)]
     cases += [p * q * s for p, q, s in combinations(mid, 3)]
     cases += [16 * 3**5 * (p * q) ** 2 * r for p, q, r in permutations(BELOW_2_16[1:] + mid[:4], 3)]
-    return cases + [-n for n in cases[::3]]
+    cases += [-n for n in cases[::3]]
+    return cases + [c * p**3 for p in WINDOW_LOW_ENDS for c in (1, 16)]
 
 
 def _family_discriminants():
@@ -258,11 +277,14 @@ def test_square_part_root_matches_factorize():
 def test_square_part_root_stops_at_the_cube_root_below_2_16(monkeypatch):
     for p, q in combinations(BETWEEN_2_8_AND_2_16, 2):
         for n in (p * p * q, p * q):
-            _, rest = arith._trial_division(n, 3)
-            assert rest % q == 0, (p, q)  # q's block was never reached
+            _, rest = arith._trial_division(n, 3, range(1))
+            assert rest % q == 0, (p, q)  # q's window was never read
             assert square_part_root(n) == _square_part_oracle(n), (p, q)
-    for p in _block_starts():
-        assert arith._trial_division(16 * p**3, 3) == ({2: 4, p: 3}, 1)
+    width = (1 << 16) // len(arith._segment_windows(0))
+    for p in WINDOW_LOW_ENDS:
+        assert p % width == 1 and is_prime(p)
+        assert arith._trial_division(p**3, 3, range(1)) == ({p: 3}, 1)
+        assert arith._trial_division(16 * p**3, 3, range(1)) == ({2: 4, p: 3}, 1)
     # on the README grid |Delta| / 16 < (2^16 + 1)^3, so the scan ends below
     # 2^16 and no primality test is needed to settle what it leaves
     grid = _family_discriminants()[-50:]
@@ -295,15 +317,16 @@ def test_square_part_root_settles_below_2_63_without_rho(monkeypatch):
 def test_prime_tables_match_the_oracle_sieve_and_build_lazily():
     oracle = _primes_below(1 << 21)
     assert arith.small_primes() == oracle[: bisect_left(oracle, 1 << 16)]
-    width = 2 * arith._WINDOW
-    for k in range(1, 32):
+    for k in range(32):
         table = arith._segment_windows(k)
-        assert len(table) == (1 << 16) // width
+        width = (1 << 16) // len(table)
+        assert width * len(table) == 1 << 16
         for j, product in enumerate(table):
-            lo = (k << 16) + 1 + width * j
-            assert product == prod(oracle[bisect_left(oracle, lo) : bisect_left(oracle, lo + width)])
+            lo = max((k << 16) + width * j, 3)  # odd primes only: 2 is stripped apart
+            hi = (k << 16) + width * (j + 1)
+            assert product == prod(oracle[bisect_left(oracle, lo) : bisect_left(oracle, hi)])
     arith._segment_windows.cache_clear()
-    square_part_root(65537 * 65539)  # below 2^48: no window reaches its cube root
-    assert arith._segment_windows.cache_info().currsize == 0
+    square_part_root(65537 * 65539)  # below 2^48: no window above 2^16 reaches its cube root
+    assert arith._segment_windows.cache_info().currsize == 1
     square_part_root(2073601**3)  # the cube of a window's low end in segment 31
-    assert arith._segment_windows.cache_info().currsize == 31
+    assert arith._segment_windows.cache_info().currsize == 32

@@ -347,6 +347,27 @@ def test_search_progression_lemma_over_residues():
                 assert f not in squares3 or u == 1
 
 
+def _all_pass_moduli(curve, w):
+    """The sieve moduli at which every term of search_points' progression
+    for denominator w has a square value: the moduli it builds no tile for."""
+    k = (8 if w % 2 == 0 else 1) * (3 if w % 3 == 0 else 1)
+    tables = polys.cubic_value_tables(curve.b * w**4, curve.c * w**6, descent._SIEVE_MODULI, k, 1 % k)
+    return [n for n, values in zip(descent._SIEVE_MODULI, tables)
+            if b"0" not in bytes(values).translate(descent._SQUARE_DIGITS[n])]
+
+
+def test_sieve_moduli_that_strike_nothing():
+    """16 at even w and 3 when 3 | w strike nothing along the progression,
+    and neither does 3 at any w on a family curve with m prime to 3: there
+    u^3 = u (mod 3) leaves F(u) = (pqr w^3)^2 (mod 3) when 3 does not
+    divide w."""
+    curve = build_family_curve(FamilyParams(66, 17, 47, 53))
+    assert [_all_pass_moduli(curve, w) for w in (1, 2, 3, 4, 6)] == [[], [16], [3], [16], [16, 3]]
+    for m, trip in ((2, (3, 7, 11)), (34, (3, 5, 7)), (130, (5, 11, 13))):
+        for w in range(1, 7):
+            assert 3 in _all_pass_moduli(build_family_curve(FamilyParams(m, *trip)), w), (m, w)
+
+
 def test_probe_rejects_negative_bounds():
     """A negative height or denominator bound raises ValueError in the
     probe, the record builder and the sweep spec; 0 still means no search."""
