@@ -59,10 +59,6 @@ class Curve:
         if 4 * self.b**3 + 27 * self.c**2 == 0:
             raise SingularCurve(f"4b^3 + 27c^2 = 0 for b={self.b}, c={self.c}")
 
-    def rhs(self, x: Fraction) -> Fraction:
-        """x^3 + b x + c."""
-        return x * x * x + self.b * x + self.c
-
 
 def discriminant(curve: Curve) -> int:
     """Delta = -16 (4 b^3 + 27 c^2); its prime divisors are the bad primes."""

@@ -8,18 +8,18 @@ rank bound) stay plain JSON numbers.  Identical inputs produce
 byte-identical lines except for the "timings" field, which recheck
 ignores.  Sweeps stream records in lexicographic (m, p, q, r) order from
 the caller plus threads - 1 forked workers, each a fixed stride of the
-grid, and can resume an interrupted run by counting the records already
-on disk, after checking that the same spec wrote them.
+grid.  A killed sweep resumes from whatever bytes it left, in either
+format: the output file is read once before the append, a torn last line
+is cut off, every record on disk is checked against the spec, and the
+rest of the grid is appended.  The csv header is written only into an
+empty file.
 """
 from __future__ import annotations
 
 import json
 import marshal
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, zip_longest
 
 from .arith import is_prime
@@ -93,14 +93,10 @@ class SweepSpec:
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _point_obj(p: Point | None):
     if p is None or p.is_infinity:
         return None
-    return {"x": _frac_str(p.x), "y": _frac_str(p.y)}
+    return {"x": str(p.x), "y": str(p.y)}
 
 
 def _congruence_obj(ev: CongruenceEvidence | None):
@@ -114,7 +110,7 @@ def _class_obj(v: ClassVerdict):
         "point": _point_obj(v.point),
         "nonzero": v.nonzero,
         "quartic": [str(c) for c in v.quartic] if v.quartic is not None else None,
-        "quartic_roots": [_frac_str(r) for r in v.quartic_roots]
+        "quartic_roots": [str(r) for r in v.quartic_roots]
         if v.quartic_roots is not None
         else None,
         "preimages": [_point_obj(p) for p in v.preimages] if v.preimages is not None else None,
@@ -246,8 +242,7 @@ def record_to_csv_row(record: dict) -> str:
 def canonical_comparable(record: dict) -> str:
     """Serialized form with the timings field removed; equality of these
     strings is what recheck_diff decides and the determinism tests assert."""
-    stripped = {k: v for k, v in record.items() if k != "timings"}
-    return json.dumps(stripped, separators=(",", ":"), sort_keys=False)
+    return record_to_line({k: v for k, v in record.items() if k != "timings"})
 
 
 def params_from_record(record: dict) -> FamilyParams:
@@ -377,6 +372,8 @@ def _fork_worker(todo: list, opts: dict, start: int, stride: int):
     and its process.  Fork, not spawn: a spawned worker would import
     ecrank and fill its caches afresh, which costs more than a whole
     README grid, while a forked one starts with the caller's."""
+    import multiprocessing  # only here: just sweeps with threads >= 2 fork
+
     fork = multiprocessing.get_context("fork")
     conn, child_conn = fork.Pipe(duplex=False)
     child = fork.Process(target=_stream_stride, args=(child_conn, todo, opts, start, stride))
@@ -402,24 +399,27 @@ def _receive(conn, child, combo) -> str:
     return payload
 
 
-def _drop_torn_line(path: str) -> None:
-    """Truncate a last line that a killed run left without its newline, so
-    that resuming recomputes that record instead of appending to it."""
-    with open(path, "rb+") as fh:
-        data = fh.read()
-        if data and not data.endswith(b"\n"):
-            fh.truncate(data.rfind(b"\n") + 1)
-
-
-def _check_resumable(spec: SweepSpec, combos, opts: dict, existing: list[str]) -> None:
-    """Refuse to resume into a file that another sweep wrote: its i-th
-    record must be that of combos[i] under these options.  A csv row
-    carries only m, p, q, r, so csv files are checked on those alone."""
-    path, rows = spec.output_path, existing
-    if spec.output_format == "csv" and existing:
-        if existing[0] != CSV_HEADER:
+def _resume_lines(spec: SweepSpec, combos, opts: dict) -> list[str]:
+    """The lines on disk in spec.output_path, read once; none without a
+    file.  A torn last line that a killed run left is cut off the file, so
+    that resuming recomputes its record instead of appending to it.  Refuse
+    a file that another sweep wrote: after the csv header, the i-th record
+    must be that of combos[i] under these options.  A csv row carries only
+    m, p, q, r, so csv rows are checked on those alone."""
+    path = spec.output_path
+    try:
+        with open(path, "rb+") as fh:
+            data = fh.read()
+            if not data.endswith(b"\n"):
+                data = data[: data.rfind(b"\n") + 1]
+                fh.truncate(len(data))
+    except FileNotFoundError:
+        return []
+    lines = rows = data.decode("utf-8").split("\n")[:-1]
+    if spec.output_format == "csv" and lines:
+        if lines[0] != CSV_HEADER:
             raise SweepResumeMismatch(f"{path}: first line is not the csv header")
-        rows = existing[1:]
+        rows = lines[1:]
     if len(rows) > len(combos):
         raise SweepResumeMismatch(f"{path} holds {len(rows)} records, the sweep has {len(combos)}")
     for i, (line, combo) in enumerate(zip(rows, combos)):
@@ -439,15 +439,18 @@ def _check_resumable(spec: SweepSpec, combos, opts: dict, existing: list[str]) -
                 f"{path}: record {i} has params {found[0]} and options {found[1]}; "
                 f"this sweep writes params {wanted[0]} with options {wanted[1]}"
             )
+    return lines
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
     """Execute a sweep, returning the jsonl lines in combo order.
 
     When spec.output_path is set, lines are appended as they complete
-    (single writer); a partial file from an earlier run is detected by
-    line count and those combos are skipped, after a torn last line is
-    cut off.  A file whose records another spec wrote raises
+    (single writer).  The file is read once before the append: a killed
+    run's file, cut at any byte, resumes to the file an uninterrupted run
+    writes, since a torn last line is cut off and the combos whose records
+    are on disk are skipped.  The csv header is written only into an empty
+    file.  A file whose records another spec wrote raises
     SweepResumeMismatch before anything is appended.
 
     The k = min(threads, pending combos) processes split the pending
@@ -469,17 +472,9 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
         "height_bound": spec.height_bound,
         "den_bound": spec.den_bound,
     }
-    skip = 0
-    existing: list[str] = []
     out_path = spec.output_path
-    if out_path and os.path.exists(out_path):
-        _drop_torn_line(out_path)
-        with open(out_path, "r", encoding="utf-8") as fh:
-            existing = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        _check_resumable(spec, combos, opts, existing)
-        skip = len(existing)
-        if spec.output_format == "csv" and skip:
-            skip -= 1  # header line
+    on_disk = _resume_lines(spec, combos, opts) if out_path else []
+    skip = len(on_disk) - 1 if spec.output_format == "csv" and on_disk else len(on_disk)
     todo = combos[skip:]
     k = max(1, min(threads, len(todo)))
     workers = []  # (receiving end, process) of the workers for j = 1 .. k - 1
@@ -490,7 +485,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
             workers.append(_fork_worker(todo, opts, j, k))
         if out_path:
             fh = open(out_path, "a", encoding="utf-8")
-            if spec.output_format == "csv" and skip == 0:
+            if spec.output_format == "csv" and not on_disk:
                 fh.write(CSV_HEADER + "\n")
         for i, combo in enumerate(todo):
             j = i % k

@@ -338,6 +338,41 @@ def test_sweep_resume_after_torn_line(tmp_path):
     assert comparable(torn) == comparable(full)
 
 
+def test_sweep_resumes_from_every_cut(tmp_path):
+    """A sweep file cut at any byte resumes to the file an uninterrupted run
+    writes: the csv file is cut at every byte, and gets no second header
+    when the cut leaves the header alone, and the jsonl file at every line
+    boundary and at a few offsets inside each line."""
+    options = dict(m_values=(2,), prime_pool=(3, 5, 7, 11), probe=False, height_bound=0,
+                   num_reduction_primes=3)
+    cut, failed = tmp_path / "cut", []
+    for fmt in ("csv", "jsonl"):
+        full = tmp_path / f"full.{fmt}"
+        spec = dict(options, output_format=fmt)
+        assert len(run_sweep(SweepSpec(**spec, output_path=str(full)))) == 4
+        data = full.read_bytes()
+        if fmt == "csv":
+            offsets = range(len(data) + 1)
+        else:
+            ends = [i for i, byte in enumerate(data) if byte == ord("\n")]
+            starts = [0] + [end + 1 for end in ends]
+            offsets = [len(data)] + [at for start, end in zip(starts, ends)
+                                     for at in (start, start + 1, (start + end) // 2, end)]
+        for at in offsets:
+            cut.write_bytes(data[:at])
+            try:
+                run_sweep(SweepSpec(**spec, output_path=str(cut)))
+                if fmt == "csv":
+                    same = cut.read_bytes() == data
+                else:
+                    same = _comparable(cut) == _comparable(full)
+            except SweepResumeMismatch:
+                same = False
+            if not same:
+                failed.append((fmt, at))
+    assert failed == []
+
+
 def test_sweep_resume_refuses_other_spec(tmp_path, capsys):
     """A sweep cut to 2 lines at --reduction-primes 3 and resumed at 5 is
     refused before anything is appended, from the API and from the CLI."""
