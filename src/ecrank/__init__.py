@@ -44,6 +44,7 @@ from .errors import (
     PrimesNotDistinct,
     SingularCurve,
     SweepResumeMismatch,
+    SweepWorkerDied,
     UnsupportedOrder,
 )
 from .family import (

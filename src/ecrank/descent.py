@@ -6,17 +6,17 @@ integer coefficients, so rational root extraction plus an exact square
 test decides T in 2E(Q) unconditionally.  A sieve comes first: modulo a
 small prime q of good reduction not dividing the denominator of x(T),
 x(T) must be x(2R) for a point R over F_q or over its quadratic twist.
-A residue outside that per-curve set at one such q proves the quartic
-has no rational root, so most targets never reach root extraction.
-With trivial torsion, E(Q)/2E(Q)
-is an elementary abelian 2-group of order 2^rank; exhibiting enough
+A residue outside that set, which depends only on b and c mod q, at one
+such q proves the quartic has no rational root, so most targets never
+reach root extraction.  With trivial torsion, E(Q)/2E(Q) is an
+elementary abelian 2-group of order 2^rank; exhibiting enough
 independent nonzero classes therefore bounds the rank from below.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd
 
 from . import polys
@@ -73,28 +73,24 @@ _QUARTER_INVERSES = {
 }
 
 
-@lru_cache(maxsize=1)
-def _doubled_x_residues(b: int, c: int) -> tuple[tuple[int, bytes], ...]:
-    """(q, table) for each q in _HALVING_SIEVE_PRIMES not dividing the
-    discriminant: table[t] is 1 when t = N(x) / (4 f(x)) mod q for some
-    residue x with f(x) != 0, where f = x^3 + bx + c and
-    N = (x^2 - b)^2 - 8cx, so that x(2R) = N(x) / (4 f(x)) at x(R) = x.
-
-    One curve's tables serve all its halvings, so the last curve's are kept.
-    """
-    tables = []
-    for q in _HALVING_SIEVE_PRIMES:
-        bq, cq = b % q, c % q
-        if (4 * bq**3 + 27 * cq * cq) % q == 0:
-            continue
-        inverses = _QUARTER_INVERSES[q]
-        table = bytearray(q)
-        for x in range(q):
-            fx = (x * x * x + bq * x + cq) % q
-            if fx:
-                table[((x * x - bq) ** 2 - 8 * cq * x) * inverses[fx] % q] = 1
-        tables.append((q, bytes(table)))
-    return tuple(tables)
+# One table per (q, b mod q, c mod q), built when a halving first reaches q:
+# at most 1,552 tables, the sum of q^2 over the sieve's primes.
+@cache
+def _doubled_x_table(q: int, bq: int, cq: int) -> bytes | None:
+    """The halving sieve's table mod q for b = bq and c = cq (mod q): None
+    when q divides 4b^3 + 27c^2; otherwise table[t] is 1 when
+    t = N(x) / (4 f(x)) mod q for some residue x with f(x) != 0, where
+    f = x^3 + bx + c and N = (x^2 - b)^2 - 8cx, so that
+    x(2R) = N(x) / (4 f(x)) at x(R) = x."""
+    if (4 * bq**3 + 27 * cq * cq) % q == 0:
+        return None
+    inverses = _QUARTER_INVERSES[q]
+    table = bytearray(q)
+    for x in range(q):
+        fx = (x * x * x + bq * x + cq) % q
+        if fx:
+            table[((x * x - bq) ** 2 - 8 * cq * x) * inverses[fx] % q] = 1
+    return bytes(table)
 
 
 def _halve(curve: Curve, target: Point):
@@ -107,18 +103,25 @@ def _halve(curve: Curve, target: Point):
     exactly.
 
     A sieve mod small primes runs first.  The quartic is td N(x) - 4 tn f(x)
-    for t = tn/td, with N and f as in _doubled_x_residues.  Take a prime q
+    for t = tn/td, with N and f as in _doubled_x_table.  Take a prime q
     that divides neither td nor the discriminant.  A rational root has a
     denominator dividing td, so it reduces to a residue x mod q.  There
     f(x) != 0, since f(x) = 0 would force N(x) = f'(x)^2 = 0 and a double
     root of f mod q.  So t = N(x) / (4 f(x)) mod q, and a t outside that
-    set at one such q leaves the quartic with no rational root.
+    set at one such q leaves the quartic with no rational root.  A table
+    depends only on (q, b mod q, c mod q), so each is built once per
+    process, when a halving first reaches q, and shared by every curve
+    with those residues; most targets are settled by the first two or
+    three primes.
     """
     quartic = halving_quartic(curve, target)
     tn, td = target.x.numerator, target.x.denominator
-    for q, table in _doubled_x_residues(curve.b, curve.c):
-        if td % q and not table[tn * pow(td, -1, q) % q]:
-            return quartic, (), []
+    b, c = curve.b, curve.c
+    for q in _HALVING_SIEVE_PRIMES:
+        if td % q:
+            table = _doubled_x_table(q, b % q, c % q)
+            if table is not None and not table[tn * pow(td, -1, q) % q]:
+                return quartic, (), []
     roots = tuple(polys.rational_roots(list(quartic)))
     halves: list[Point] = []
     for x in roots:
@@ -273,6 +276,21 @@ _SQUARE_DIGITS = {n: _square_digits(n) for n in _SIEVE_MODULI}
 _SIEVE_BLOCK = 1 << 18  # progression terms per sieve block: a 32 KB integer at any height bound
 
 
+def _square_pattern(key: tuple[int, int, int, int, int], values: list[int]) -> int | None:
+    """The n-bit mask whose bit r is set when values[r] = F(k r + a) mod n
+    is a square mod n, or None when every bit is: that modulus strikes
+    nothing along the progression."""
+    squares = bytes(values).translate(_SQUARE_DIGITS[key[0]])
+    if b"0" not in squares:
+        return None
+    return int(squares[::-1], 2)  # digit r of the reversed string is bit r
+
+
+# Keyed by (n, k, a, b w^4 mod n, c w^6 mod n): at most 42,872 patterns,
+# four progressions times the sum of n^2.
+_SQUARE_PATTERNS = polys.ResidueTables(_SIEVE_MODULI, _square_pattern)
+
+
 def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[Point]:
     """Rational points with x = u/w^2, |u| <= height_bound * w^2, w <= den_bound.
 
@@ -299,13 +317,14 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
     Before any square root, a ratpoints-style sieve (M. Stoll) strikes out
     every v whose F(k v + a) is a non-residue modulo 16 or a small odd
     prime.  For each modulus n, the residues of v that pass form an n-bit
-    mask, tiled by doubling once per w; a modulus where every residue
-    passes, such as 16 at even w, gets no tile.  A block of the progression
-    from `start` is one integer whose bit i stands for v = start + i; it is
-    ANDed with each tile shifted right by start mod n, and the set bits
-    left are walked in its binary digits.  The sieve only filters: each
-    survivor is confirmed by exact_sqrt, so the result does not depend on
-    the moduli.
+    mask, which depends only on (n, k, a, b w^4 mod n, c w^6 mod n) and is
+    built once per process; it is tiled by doubling once per w, and a
+    modulus where every residue passes, such as 16 at even w, gets no
+    tile.  A block of the progression from `start` is one integer whose
+    bit i stands for v = start + i; it is ANDed with each tile shifted
+    right by start mod n, and the set bits left are walked in its binary
+    digits.  The sieve only filters: each survivor is confirmed by
+    exact_sqrt, so the result does not depend on the moduli.
     """
     found: list[Point] = []
     for w in range(1, den_bound + 1):
@@ -316,14 +335,10 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
         a = 1 % k
         lo, last = -((hi + a) // k), (hi - a) // k  # |k v + a| <= hi for lo <= v <= last
         width = min(_SIEVE_BLOCK, last - lo + 1)
-        tables = polys.cubic_value_tables(bw4, cw6, _SIEVE_MODULI, k, a)
         tiles = []
-        for n, values in zip(_SIEVE_MODULI, tables):
-            squares = bytes(values).translate(_SQUARE_DIGITS[n])
-            if b"0" not in squares:
+        for n, tile in zip(_SIEVE_MODULI, _SQUARE_PATTERNS(bw4, cw6, k, a)):
+            if tile is None:
                 continue  # every residue passes: the tile would strike nothing
-            # digit r of the reversed string is 1 when F(k r + a) is a square mod n
-            tile = int(squares[::-1], 2)
             span = n
             while span < width + n:  # bit i is residue i mod n, for i < width + n
                 tile |= tile << span

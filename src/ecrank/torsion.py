@@ -38,6 +38,9 @@ SUPPORTED_ORDERS = (2, 3, 5, 7)
 # strike the most y per residue on the family grid.
 _CANDIDATE_MODULI = (27, 5, 7, 16, 11, 13, 17, 19, 23)
 
+# The sieve's value sets: at most 2,528, the sum of n^2.
+_CANDIDATE_SETS = polys.ResidueTables(_CANDIDATE_MODULI, lambda key, values: frozenset(values))
+
 
 def torsion_order_bound(curve: Curve, num_primes: int) -> tuple[int, list[tuple[int, int]]]:
     """gcd of #E(F_ell) over the first `num_primes` odd primes of good
@@ -163,15 +166,14 @@ def integral_torsion_candidates(curve: Curve) -> list[Point]:
     by Pollard rho, only when that cofactor is 2^63 or more.
 
     Each y goes to exact root extraction only if y^2 mod n is a value of
-    x^3 + bx + c mod n for every n in _CANDIDATE_MODULI.  The tables are
-    built once per curve, and the filter drops no y that has an integral x.
+    x^3 + bx + c mod n for every n in _CANDIDATE_MODULI.  Each value set
+    depends only on (n, b mod n, c mod n), so it is built once per process
+    and shared by every curve with those residues, and the filter drops no
+    y that has an integral x.
     """
     candidates = set(two_torsion_points(curve))
     b, c = curve.b, curve.c
-    tables = [
-        (n, frozenset(values))
-        for n, values in zip(_CANDIDATE_MODULI, polys.cubic_value_tables(b, c, _CANDIDATE_MODULI))
-    ]
+    tables = list(zip(_CANDIDATE_MODULI, _CANDIDATE_SETS(b, c)))
     for y in divisors(square_part_root(discriminant(curve))):
         y2 = y * y
         if not all(y2 % n in values for n, values in tables):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import ecrank
 from ecrank.cli import main
 from ecrank import records
 from ecrank.errors import FactorizationIncomplete, SweepResumeMismatch, SweepWorkerDied
@@ -623,8 +624,9 @@ def test_sweep_raises_when_a_worker_dies_without_sending(tmp_path, monkeypatch):
 
     monkeypatch.setattr(records, "build_curve_record", build_or_exit)
     out = tmp_path / "sweep.jsonl"
-    with pytest.raises(SweepWorkerDied, match="code 3"):
+    with pytest.raises(SweepWorkerDied, match="code 3") as raised:
         run_sweep(SweepSpec(**STRIDED, output_path=str(out)), threads=2)
+    assert type(raised.value) is ecrank.SweepWorkerDied  # exported beside SweepResumeMismatch
     assert len(out.read_text().splitlines()) == 5
     assert multiprocessing.active_children() == []
 
