@@ -3,10 +3,15 @@
 factorize and square_part_root share one trial-division scan over one table
 of prime products, one per window of 512 odd numbers: cut from the sieved
 primes below 2^16, and above that sieved lazily one 2^16-wide segment at a
-time (about 0.47 MB up to 2^21).  factorize scans below 2^16 up to the
-square root and hands what is left to Pollard rho.  Nagell-Lutz needs only
-the square part of the discriminant, so square_part_root scans only up to
-the cube root of what is left, and settles cofactors below 2^63 without rho.
+time (about 0.47 MB up to 2^21).  The scan settles a chunk of 16 windows
+that holds no prime of n with one gcd, and walks window by window only the
+chunks that hit, the one the stop falls in, and the first, whose primes
+below 16,384 divide most discriminants.  factorize scans below 2^16 up to
+the square root and hands what is left to a Miller-Rabin and Pollard-rho
+stage.  Nagell-Lutz needs only the square part of the discriminant, so
+square_part_root scans only up to the cube root of what is left, settles
+cofactors below 2^63 without rho, and hands those from 2^63 up straight to
+the same rho stage, with no second scan below 2^16.
 
 Everything here is deterministic.  Pollard rho walks a fixed parameter
 schedule, so identical inputs always factor the same way; that property is
@@ -35,9 +40,10 @@ _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 _SIEVE_LIMIT = 1 << 16
 
 _WINDOW = 512  # consecutive odd numbers per product in the segment table
+_CHUNK = 16  # windows settled by one gcd when none of them holds a prime of n
 _CUBE_SCAN_LIMIT = 1 << 63  # (2^21)^3: cofactors below it are settled without rho
 _WINDOW_SCAN_FLOOR = (_SIEVE_LIMIT + 1) ** 3  # segment 1's first low end, cubed
-_RHO_BUDGET = 5_000_000  # Pollard rho iterations per composite before factorize gives up
+_RHO_BUDGET = 5_000_000  # Pollard rho iterations per composite before the rho stage gives up
 
 
 def _odd_sieve(base: int, divisors) -> bytearray:
@@ -180,48 +186,63 @@ def _trial_division(n: int, root: int, segments: range) -> tuple[dict[int, int],
     """The primes of |n| that a scan of the table's `segments` finds, as
     {prime: exponent} in increasing order, and the cofactor.
 
-    After the 2s, one gcd g per window shows whether any of its primes
-    divides n, n being what is left by then.  Only on a hit are the
-    window's odd numbers d tried, from its low end (from 3 in window 0)
-    until g is used up: a composite d cannot divide g, and once g < d^2 what
-    is left of g is one prime.  The scan stops at the first window whose
-    low end lo has lo^root > n, so n has no prime factor below lo and fewer
-    than root prime factors: 1 or prime for root = 2, 1, P, P^2 or PQ for 3.
+    After the 2s, the windows are taken _CHUNK at a time.  A chunk that
+    lies wholly below the stop, the next chunk's low end raised to `root`
+    being at most n, is tested first: its window products W are reduced
+    mod n, and when gcd(n, product of the residues), which is gcd(n,
+    product of the W), is 1, no window of it can hit and the whole chunk
+    is skipped.  The first chunk of segment 0, the primes below 16,384, is
+    walked untested, since they divide most discriminants.  A walked chunk
+    takes one gcd g per window, n being what is left by then.  Only on a
+    hit are the window's odd numbers d tried, from its low end (from 3 in
+    window 0) until g is used up: a composite d cannot divide g, and once
+    g < d^2 what is left of g is one prime.  The scan stops at the first window
+    whose low end lo has lo^root > n, so n has no prime factor below lo and
+    fewer than root prime factors: 1 or prime for root = 2, 1, P, P^2 or PQ
+    for 3.  A skipped chunk would neither have hit nor stopped the scan, so
+    the stop, the factors found and their order are those of a walk over
+    every window.
     """
     n = abs(n)
     twos = two_adic_valuation(n) if n else 0
     factors = {2: twos} if twos else {}
     n >>= twos
+    span = 2 * _WINDOW  # integers per window
     for k in segments:
-        base = k * _SIEVE_LIMIT
-        for j, lo in enumerate(range(base + 1, base + _SIEVE_LIMIT, 2 * _WINDOW)):
-            if lo**root > n:
-                return factors, n
-            g = gcd(n, _segment_windows(k)[j])
-            d = max(lo, 3)
-            while g > 1:
-                if g < d * d:
-                    d = g
-                if g % d == 0:
-                    g //= d
-                    factors[d] = 0
-                    while n % d == 0:
-                        factors[d] += 1
-                        n //= d
-                d += 2
+        table = _segment_windows(k)
+        for c in range(0, len(table), _CHUNK):
+            lo = k * _SIEVE_LIMIT + c * span + 1
+            chunk = table[c : c + _CHUNK]
+            if (k or c) and (lo + _CHUNK * span) ** root <= n:
+                # gcd(d, W mod n) = gcd(d, W) for every divisor d of n, so
+                # the walk below may read the residues in place of W
+                chunk = [w % n for w in chunk]
+                if gcd(n, prod(chunk)) == 1:
+                    continue
+            for window in chunk:
+                if lo**root > n:
+                    return factors, n
+                g = gcd(n, window)
+                d = max(lo, 3)
+                while g > 1:
+                    if g < d * d:
+                        d = g
+                    if g % d == 0:
+                        g //= d
+                        factors[d] = 0
+                        while n % d == 0:
+                            factors[d] += 1
+                            n //= d
+                    d += 2
+                lo += span
     return factors, n
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}.
-
-    Trial division by the sieved primes first, Pollard rho for what is
-    left.  Raises FactorizationIncomplete instead of ever returning a wrong
-    or partial answer.
+def _split_by_rho(n: int, factors: dict[int, int]) -> dict[int, int]:
+    """`factors` with the primes of n added, n odd and left by a scan of
+    segment 0: Miller-Rabin on each part, Pollard rho to split a composite
+    one.  Raises FactorizationIncomplete when rho runs out of budget.
     """
-    if abs(n) <= 1:
-        return {}
-    factors, n = _trial_division(n, 2, range(1))
     stack = [n]
     while stack:
         m = stack.pop()
@@ -236,6 +257,19 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of |n| as {prime: exponent}.
+
+    Trial division by the sieved primes first, Pollard rho for what is
+    left.  Raises FactorizationIncomplete instead of ever returning a wrong
+    or partial answer.
+    """
+    if abs(n) <= 1:
+        return {}
+    factors, rest = _trial_division(n, 2, range(1))
+    return _split_by_rho(rest, factors)
+
+
 def square_part_root(n: int) -> dict[int, int]:
     """{p: e // 2} over the p^e || n with e >= 2.
 
@@ -246,12 +280,14 @@ def square_part_root(n: int) -> dict[int, int]:
     exact_sqrt spots, adds to the answer (Crandall-Pomerance, Prime
     Numbers, 5.1.2).  A composite cofactor R below 2^63 that outlasts the
     scan below 2^16 needs no Pollard rho either: the scan goes on up to
-    2^21, the cube root of 2^63.  R >= 2^63 goes to factorize, Pollard rho
-    and its budget included.
+    2^21, the cube root of 2^63.  R >= 2^63 has outlasted the whole scan
+    below 2^16 (its cube root is above 2^21), so it goes straight to the
+    Miller-Rabin and Pollard-rho stage that factorize ends with, rho's
+    budget included, and segment 0 is not scanned a second time.
     """
     factors, rest = _trial_division(n, 3, range(1))
     if rest >= _CUBE_SCAN_LIMIT:
-        factors.update(factorize(rest))
+        _split_by_rho(rest, factors)
         rest = 1
     elif rest >= _WINDOW_SCAN_FLOOR and not is_prime(rest):
         more, rest = _trial_division(rest, 3, range(1, 32))

@@ -93,13 +93,14 @@ def cmd_verify(args) -> int:
         height_bound=args.height_bound,
         den_bound=args.den_bound,
     )
+    line = record_to_line(record) if args.json or args.out else None
     if args.json:
-        print(record_to_line(record))
+        print(line)
     else:
         _print_verify_summary(record)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(record_to_line(record) + "\n")
+            fh.write(line + "\n")
     return EXIT_OK if _certified(record) else EXIT_FAILED
 
 

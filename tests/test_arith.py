@@ -1,6 +1,8 @@
 import json
 import random
 from bisect import bisect_left
+from collections import Counter
+from functools import cache
 from itertools import combinations, permutations
 from math import prod
 from pathlib import Path
@@ -230,23 +232,97 @@ EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "data" / "expected.js
 
 
 def _square_part_oracle(n):
-    return {p: e // 2 for p, e in factorize(n).items() if e > 1}
+    """The square part from factorize, checked without the scan: the
+    primes it names are prime by Miller-Rabin and multiply back to |n|."""
+    factors = factorize(n)
+    assert all(map(is_prime, factors)) and prod(p**e for p, e in factors.items()) == (abs(n) or 1), n
+    return {p: e // 2 for p, e in factors.items() if e > 1}
 
 
 def _planted():
-    cases = [c * p**3 for p in INSIDE_WINDOWS for c in (1, 16)]
+    """Planted inputs as (n, primes): n is +- the product of `primes`,
+    repeats included, so their factorization is known without a scan."""
+    cases = [(2,) * e + (p,) * 3 for p in INSIDE_WINDOWS for e in (0, 4)]
     low = BETWEEN_2_8_AND_2_16
-    cases += [p * p * q for p, q in combinations(low, 2)]
-    cases += [p * q for p, q in combinations(low, 2)]
+    cases += [(p, p, q) for p, q in combinations(low, 2)]
+    cases += [(p, q) for p, q in combinations(low, 2)]
     mid = BETWEEN_2_16_AND_2_21 + ABOVE_2_21
-    cases += [p * p for p in BELOW_2_16 + mid + NEAR_2_31]
-    cases += [p**3 for p in BELOW_2_16 + mid]
-    cases += [p * p * q for p, q in permutations(mid, 2)]
-    cases += [p * q for p, q in combinations(mid + NEAR_2_31, 2)]
-    cases += [p * q * s for p, q, s in combinations(mid, 3)]
-    cases += [16 * 3**5 * (p * q) ** 2 * r for p, q, r in permutations(BELOW_2_16[1:] + mid[:4], 3)]
-    cases += [-n for n in cases[::3]]
-    return cases + [c * p**3 for p in WINDOW_LOW_ENDS for c in (1, 16)]
+    cases += [(p, p) for p in BELOW_2_16 + mid + NEAR_2_31]
+    cases += [(p,) * 3 for p in BELOW_2_16 + mid]
+    cases += [(p, p, q) for p, q in permutations(mid, 2)]
+    cases += [(p, q) for p, q in combinations(mid + NEAR_2_31, 2)]
+    cases += [(p, q, s) for p, q, s in combinations(mid, 3)]
+    cases += [(2,) * 4 + (3,) * 5 + (p, p, q, q, r) for p, q, r in permutations(BELOW_2_16[1:] + mid[:4], 3)]
+    cases = [(prod(c), c) for c in cases] + [(-prod(c), c) for c in cases[::3]]
+    return cases + [(prod(c), c) for p in WINDOW_LOW_ENDS for c in ((p,) * 3, (2,) * 4 + (p,) * 3)]
+
+
+def _check_against_primes(n, primes):
+    """factorize and square_part_root against the primes n was built from;
+    the primes below 2^16 come first and in increasing order."""
+    want = Counter(primes)
+    got = factorize(n)
+    assert got == want, (n, primes)
+    small = sorted(p for p in want if p < 1 << 16)
+    assert list(got)[: len(small)] == small, (n, primes)
+    assert square_part_root(n) == {p: e // 2 for p, e in want.items() if e > 1}, (n, primes)
+
+
+@cache
+def _primes_below_2_21():
+    return _primes_below(1 << 21)
+
+
+def _next_prime(n):
+    return next(primes_from(n))
+
+
+def _chunks():
+    """(low end, next chunk's low end, primes in between) for every chunk of
+    arith._CHUNK windows below 2^21 but the first, which is never tested."""
+    width = arith._CHUNK * ((1 << 16) // len(arith._segment_windows(0)))
+    oracle = _primes_below_2_21()
+    return [(lo + 1, lo + width + 1, oracle[bisect_left(oracle, lo) : bisect_left(oracle, lo + width)])
+            for lo in range(width, 1 << 21, width)]
+
+
+def _chunk_edge_cases():
+    """(n, primes) with primes of n at the edges of chunks the scan tests
+    with one gcd: lo is a chunk's low end and top the next chunk's, and a
+    chunk is tested when top^3 is at most what is left of n."""
+    cases = []
+    q63 = _next_prime(1 << 63)
+    for i, (lo, top, primes) in enumerate(_chunks()):
+        first, last = primes[0], primes[-1]
+        assert first < lo + 1024 and last >= top - 1024, lo  # in its first and last window
+        if top**3 >= 1 << 63:
+            continue  # segment 31's last chunk: straddles the stop whenever R < 2^63
+        # p^2 q in the first and in the last window of a tested chunk: q is
+        # chosen above top^3 / p^2, so the chunk is tested while p divides n,
+        # and from segment 1 on n stays below 2^63, so the window scan runs
+        for p in (first, last):
+            q = _next_prime(-(-(top**3) // p**2))
+            assert p * p * q >= top**3 and (lo < 1 << 16 or p * p * q < 1 << 63)
+            prefix = (2,) * 4 + (3,) * 5 if i % 2 else ()
+            cases.append(((-1) ** i * prod(prefix) * p * p * q, (*prefix, p, p, q)))
+        # two primes of n in one tested chunk
+        q = _next_prime(-(-(top**3) // (first * last)))
+        cases.append((first * last * q, (first, last, q)))
+        if lo < 1 << 16:
+            # squares and a cube in one tested chunk of segment 0, then a
+            # prime cofactor on each side of 2^63 (Miller-Rabin or the rho stage)
+            for big in (_next_prime(1 << 50), q63):
+                cases.append((first**2 * last**3 * big, (first, first, last, last, last, big)))
+                cases.append((last**3 * big, (last, last, last, big)))
+    # chunks that straddle the stop: lo^3 <= n < top^3 with n's prime p in
+    # the chunk below the stop; the cube roots fall mid-chunk in segments 0,
+    # 1 and 17, and past 2^21 - 2^14 in segment 31's last chunk
+    for lo, top, primes in [c for c in _chunks() if c[0] in (16385, 65537, 1130497)] + _chunks()[-1:]:
+        p = primes[0]
+        q = _next_prime(max(-(-((lo + top) // 2) ** 3 // p**2), p + 1))
+        assert lo**3 <= p * p * q < min(top**3, 1 << 63), lo
+        cases.append((p * p * q, (p, p, q)))
+    return cases
 
 
 def _family_discriminants():
@@ -264,14 +340,38 @@ def _cofactor(n):
 
 
 def test_square_part_root_matches_factorize():
-    cases = _planted() + _family_discriminants() + [0, 1, -1, 2, 65521, 65537]
-    cofactors = [_cofactor(n) for n in cases]
+    planted = _planted()
+    cofactors = [prod(p for p in primes if p > 1 << 16) for _, primes in planted]
     # the planted cofactors fall on both sides of 2^48 (no window needed)
-    # and of 2^63 (factorize and rho take over)
+    # and of 2^63 (the rho stage takes over)
     assert {c < 1 << 48 for c in cofactors if c > 1} == {True, False}
     assert {c < 1 << 63 for c in cofactors} == {True, False}
-    for n in cases:
+    for n, primes in planted:
+        _check_against_primes(n, primes)
+    for n in _family_discriminants() + [0, 1, -1, 2, 65521, 65537]:
         assert square_part_root(n) == _square_part_oracle(n), n
+
+
+def test_chunk_gcd_finds_primes_at_chunk_edges():
+    cases = _chunk_edge_cases()
+    assert len(cases) > 250
+    for n, primes in cases:
+        _check_against_primes(n, primes)
+
+
+@pytest.mark.parametrize("params", [(514, 17, 43, 47), (1954, 13, 47, 59)])
+def test_square_part_root_reads_segment_0_once_before_rho(monkeypatch, params):
+    # the two verify-deep members whose cofactor left by segment 0 is from
+    # 2^63 up: the scan to its cube root has read every window of segment 0,
+    # so the rho stage takes the cofactor without a second scan
+    n = discriminant(build_family_curve(FamilyParams(*params)))
+    assert _cofactor(n) >= 1 << 63
+    want = _square_part_oracle(n)
+    reads = []
+    table = arith._segment_windows
+    monkeypatch.setattr(arith, "_segment_windows", lambda k: reads.append(k) or table(k))
+    assert square_part_root(n) == want
+    assert reads == [0]
 
 
 def test_square_part_root_stops_at_the_cube_root_below_2_16(monkeypatch):

@@ -34,15 +34,18 @@ STRIDED = dict(m_values=(2,), prime_pool=(3, 5, 7, 11, 13), probe=False, height_
 GRID_SEED = Path(__file__).resolve().parents[1] / "bench" / "data" / "grid_seed.jsonl"
 
 # sha256 of canonical_comparable(record) at default options, as ecrank 0.1.0
-# wrote them (bench/data/expected.json).  In the last three, trial division
+# wrote them (bench/data/expected.json).  In the middle three, trial division
 # below 2^16 leaves a 60- to 62-bit product of two primes, which
-# arith.square_part_root settles with its window scan instead of rho.
+# arith.square_part_root settles with its window scan instead of rho; in the
+# last two it leaves a cofactor from 2^63 up, which goes to Pollard rho.
 FROZEN_DIGESTS = {
     (2, 3, 7, 11): "0920ec8043ed113c518fea8e1de00e00333cada8f183c5c0ca5e1b918892fd06",
     (34, 3, 5, 7): "8765232de874bcd0c0a9a39f632d99c5adb6a0eb4bba1d8d3d0d6dc51b6568fe",
     (66, 17, 47, 53): "8509272a9ddba6858dfbcc630ea9f38c73ebbd0c135b3ef87d6cf86548a082b3",
     (418, 13, 41, 59): "db704581267127792df7d41a68bd59fbfdaf647f2222435314ed0b7c73a7ae3d",
     (1954, 3, 7, 37): "e2627817557afa3d44ccc1c448d69053a9204bac51b43d61631486f6f35bee58",
+    (514, 17, 43, 47): "fc6757a067a761550040ad3bc8a46de43e2e3f6da2ea957b4d1dc1792bfbfd6c",
+    (1954, 13, 47, 59): "d02e45b71662b527ee9aac42064ee74c63cc0240fe47fe6f28abbc9d972691ab",
 }
 
 
@@ -65,7 +68,7 @@ def test_record_shape_and_integer_strings():
 
 def test_records_match_frozen_seed(capsys):
     """Records stay byte-identical to ecrank 0.1.0's, field order included:
-    two default records hash to their frozen digests, one of them with a
+    seven default records hash to their frozen digests, one of them with a
     rank >= 3 probe hit, and the seed-written README grid file rechecks."""
     for params, digest in FROZEN_DIGESTS.items():
         line = canonical_comparable(build_curve_record(FamilyParams(*params)))
@@ -234,6 +237,22 @@ def test_cli_verify_json(capsys):
     assert code == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["rank"]["rank_lower_bound"] == 2
+
+
+def test_cli_verify_out_holds_the_printed_line(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "record.jsonl"
+    calls = []
+
+    def counted(record):
+        calls.append(record)
+        return record_to_line(record)
+
+    monkeypatch.setattr("ecrank.cli.record_to_line", counted)
+    code = main(["verify", "--m", "2", "--p", "3", "--q", "7", "--r", "11", "--json",
+                 "--no-probe", "--reduction-primes", "3", "--out", str(out)])
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+    assert len(calls) == 1  # serialized once, for stdout and the file alike
 
 
 def test_cli_count(capsys):
