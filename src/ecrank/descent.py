@@ -65,12 +65,8 @@ def halving_quartic(curve: Curve, target: Point) -> tuple[int, int, int, int, in
     return tuple(polys.primitive_part(raw))  # type: ignore[return-value]
 
 
-# Odd primes for the halving sieve in _halve, each with the inverses of
-# 4a mod q for a = 1, ..., q - 1 (entry 0 unused).
+# Odd primes for the halving sieve in _halve.
 _HALVING_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
-_QUARTER_INVERSES = {
-    q: (0, *(pow(4 * a, -1, q) for a in range(1, q))) for q in _HALVING_SIEVE_PRIMES
-}
 
 
 # One table per (q, b mod q, c mod q), built when a halving first reaches q:
@@ -84,12 +80,11 @@ def _doubled_x_table(q: int, bq: int, cq: int) -> bytes | None:
     x(2R) = N(x) / (4 f(x)) at x(R) = x."""
     if (4 * bq**3 + 27 * cq * cq) % q == 0:
         return None
-    inverses = _QUARTER_INVERSES[q]
     table = bytearray(q)
     for x in range(q):
         fx = (x * x * x + bq * x + cq) % q
         if fx:
-            table[((x * x - bq) ** 2 - 8 * cq * x) * inverses[fx] % q] = 1
+            table[((x * x - bq) ** 2 - 8 * cq * x) * pow(4 * fx, -1, q) % q] = 1
     return bytes(table)
 
 
@@ -108,11 +103,11 @@ def _halve(curve: Curve, target: Point):
     denominator dividing td, so it reduces to a residue x mod q.  There
     f(x) != 0, since f(x) = 0 would force N(x) = f'(x)^2 = 0 and a double
     root of f mod q.  So t = N(x) / (4 f(x)) mod q, and a t outside that
-    set at one such q leaves the quartic with no rational root.  A table
-    depends only on (q, b mod q, c mod q), so each is built once per
-    process, when a halving first reaches q, and shared by every curve
-    with those residues; most targets are settled by the first two or
-    three primes.
+    set at one such q leaves the quartic with no rational root.  The
+    table is _doubled_x_table(q, b mod q, c mod q), cached by that residue
+    key, so each is built once per process, when a halving first reaches
+    q, and shared by every curve with those residues; most targets are
+    settled by the first two or three primes.
     """
     quartic = halving_quartic(curve, target)
     tn, td = target.x.numerator, target.x.denominator
@@ -276,19 +271,18 @@ _SQUARE_DIGITS = {n: _square_digits(n) for n in _SIEVE_MODULI}
 _SIEVE_BLOCK = 1 << 18  # progression terms per sieve block: a 32 KB integer at any height bound
 
 
-def _square_pattern(key: tuple[int, int, int, int, int], values: list[int]) -> int | None:
-    """The n-bit mask whose bit r is set when values[r] = F(k r + a) mod n
-    is a square mod n, or None when every bit is: that modulus strikes
-    nothing along the progression."""
-    squares = bytes(values).translate(_SQUARE_DIGITS[key[0]])
+# One pattern per (n, k, a, b w^4 mod n, c w^6 mod n): at most 42,872,
+# four progressions times the sum of n^2.
+@cache
+def _square_pattern(n: int, k: int, a: int, bn: int, cn: int) -> int | None:
+    """The n-bit mask whose bit r is set when F(k r + a) is a square mod n,
+    for F = x^3 + bn x + cn, or None when every bit is: that modulus
+    strikes nothing along the progression."""
+    values = bytes([(x * x * x + bn * x + cn) % n for x in range(a, a + k * n, k)])
+    squares = values.translate(_SQUARE_DIGITS[n])
     if b"0" not in squares:
         return None
     return int(squares[::-1], 2)  # digit r of the reversed string is bit r
-
-
-# Keyed by (n, k, a, b w^4 mod n, c w^6 mod n): at most 42,872 patterns,
-# four progressions times the sum of n^2.
-_SQUARE_PATTERNS = polys.ResidueTables(_SIEVE_MODULI, _square_pattern)
 
 
 def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[Point]:
@@ -317,14 +311,14 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
     Before any square root, a ratpoints-style sieve (M. Stoll) strikes out
     every v whose F(k v + a) is a non-residue modulo 16 or a small odd
     prime.  For each modulus n, the residues of v that pass form an n-bit
-    mask, which depends only on (n, k, a, b w^4 mod n, c w^6 mod n) and is
-    built once per process; it is tiled by doubling once per w, and a
-    modulus where every residue passes, such as 16 at even w, gets no
-    tile.  A block of the progression from `start` is one integer whose
-    bit i stands for v = start + i; it is ANDed with each tile shifted
-    right by start mod n, and the set bits left are walked in its binary
-    digits.  The sieve only filters: each survivor is confirmed by
-    exact_sqrt, so the result does not depend on the moduli.
+    mask, _square_pattern(n, k, a, b w^4 mod n, c w^6 mod n), cached by
+    that residue key and so built once per process; it is tiled by
+    doubling once per w, and a modulus where every residue passes, such as
+    16 at even w, gets no tile.  A block of the progression from `start`
+    is one integer whose bit i stands for v = start + i; it is ANDed with
+    each tile shifted right by start mod n, and the set bits left are
+    walked in its binary digits.  The sieve only filters: each survivor is
+    confirmed by exact_sqrt, so the result does not depend on the moduli.
     """
     found: list[Point] = []
     for w in range(1, den_bound + 1):
@@ -336,7 +330,8 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
         lo, last = -((hi + a) // k), (hi - a) // k  # |k v + a| <= hi for lo <= v <= last
         width = min(_SIEVE_BLOCK, last - lo + 1)
         tiles = []
-        for n, tile in zip(_SIEVE_MODULI, _SQUARE_PATTERNS(bw4, cw6, k, a)):
+        for n in _SIEVE_MODULI:
+            tile = _square_pattern(n, k, a, bw4 % n, cw6 % n)
             if tile is None:
                 continue  # every residue passes: the tile would strike nothing
             span = n

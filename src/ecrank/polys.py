@@ -63,48 +63,6 @@ def evaluate_mod(coeffs, x: int, mod: int) -> int:
     return acc
 
 
-def cubic_value_tables(
-    b: int, c: int, moduli: tuple[int, ...], step: int = 1, offset: int = 0
-) -> list[list[int]]:
-    """Value tables of f(x) = x^3 + bx + c along the progression
-    x = step * r + offset, one per modulus: entry r of the table for n is
-    f(step * r + offset) mod n, for 0 <= r < n, which has period n in r.
-    The exact values are computed once, up to the largest modulus, and
-    reduced for each n."""
-    exact = [x * (x * x + b) + c for x in range(offset, offset + step * max(moduli), step)]
-    return [[v % n for v in exact[:n]] for n in moduli]
-
-
-class ResidueTables:
-    """Tables that depend on x^3 + bx + c only through its value table
-    along a progression mod n, each built once per residue key.
-
-    Called with (b, c, step, offset), it returns for each n in moduli the
-    entry build(key, values), where key = (n, step, offset, b mod n,
-    c mod n) and values is the cubic_value_tables table for n.  The memo
-    keeps each entry by its key, so it holds at most one per residue key
-    however many curves it serves, and the entries a call misses are
-    built from one cubic_value_tables call.
-    """
-
-    def __init__(self, moduli: tuple[int, ...], build):
-        self.moduli = moduli
-        self.build = build
-        self.memo: dict[tuple[int, int, int, int, int], object] = {}
-
-    def __call__(self, b: int, c: int, step: int = 1, offset: int = 0) -> list:
-        memo = self.memo
-        try:
-            return [memo[n, step, offset, b % n, c % n] for n in self.moduli]
-        except KeyError:
-            pass
-        keys = [(n, step, offset, b % n, c % n) for n in self.moduli]
-        missing = [key for key in keys if key not in memo]
-        tables = cubic_value_tables(b, c, tuple(key[0] for key in missing), step, offset)
-        memo.update(zip(missing, map(self.build, missing, tables)))
-        return [memo[key] for key in keys]
-
-
 def add(a, b) -> list[int]:
     n = max(len(a), len(b))
     return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]

@@ -17,6 +17,7 @@ beside the family congruences that family.cite_obstructions cites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from . import polys
@@ -38,8 +39,12 @@ SUPPORTED_ORDERS = (2, 3, 5, 7)
 # strike the most y per residue on the family grid.
 _CANDIDATE_MODULI = (27, 5, 7, 16, 11, 13, 17, 19, 23)
 
-# The sieve's value sets: at most 2,528, the sum of n^2.
-_CANDIDATE_SETS = polys.ResidueTables(_CANDIDATE_MODULI, lambda key, values: frozenset(values))
+
+# One value set per (n, b mod n, c mod n): at most 2,528, the sum of n^2.
+@cache
+def _cubic_values(n: int, bn: int, cn: int) -> frozenset[int]:
+    """The values of x^3 + bn x + cn mod n."""
+    return frozenset([(x * x * x + bn * x + cn) % n for x in range(n)])
 
 
 def torsion_order_bound(curve: Curve, num_primes: int) -> tuple[int, list[tuple[int, int]]]:
@@ -167,13 +172,13 @@ def integral_torsion_candidates(curve: Curve) -> list[Point]:
 
     Each y goes to exact root extraction only if y^2 mod n is a value of
     x^3 + bx + c mod n for every n in _CANDIDATE_MODULI.  Each value set
-    depends only on (n, b mod n, c mod n), so it is built once per process
-    and shared by every curve with those residues, and the filter drops no
-    y that has an integral x.
+    is _cubic_values(n, b mod n, c mod n), cached by its residue key, so it
+    is built once per process and shared by every curve with those
+    residues, and the filter drops no y that has an integral x.
     """
     candidates = set(two_torsion_points(curve))
     b, c = curve.b, curve.c
-    tables = list(zip(_CANDIDATE_MODULI, _CANDIDATE_SETS(b, c)))
+    tables = [(n, _cubic_values(n, b % n, c % n)) for n in _CANDIDATE_MODULI]
     for y in divisors(square_part_root(discriminant(curve))):
         y2 = y * y
         if not all(y2 % n in values for n, values in tables):

@@ -356,9 +356,10 @@ def _all_pass_moduli(curve, w):
     """The sieve moduli at which every term of search_points' progression
     for denominator w has a square value: the moduli it builds no tile for."""
     k = (8 if w % 2 == 0 else 1) * (3 if w % 3 == 0 else 1)
-    tables = polys.cubic_value_tables(curve.b * w**4, curve.c * w**6, descent._SIEVE_MODULI, k, 1 % k)
-    return [n for n, values in zip(descent._SIEVE_MODULI, tables)
-            if b"0" not in bytes(values).translate(descent._SQUARE_DIGITS[n])]
+    f = [curve.c * w**6, curve.b * w**4, 0, 1]
+    return [n for n in descent._SIEVE_MODULI
+            if all(polys.evaluate_mod(f, k * r + 1 % k, n) in {s * s % n for s in range(n)}
+                   for r in range(n))]
 
 
 def test_sieve_moduli_that_strike_nothing():

@@ -22,19 +22,6 @@ def test_evaluate_and_basics():
     assert polys.degree([0, 0, 1, 0]) == 2
 
 
-def test_cubic_value_tables_along_a_progression():
-    """Entry r of the table for n is f(step * r + offset) mod n, and the
-    next n values of the progression repeat it."""
-    moduli = (16, 3, 5, 47)
-    for b, c, step, offset in ((-4, 9, 1, 0), (-4 * 16, 9 * 64, 8, 1), (7, -10**12, 24, 1)):
-        f = [c, b, 0, 1]
-        tables = polys.cubic_value_tables(b, c, moduli, step, offset)
-        for n, table in zip(moduli, tables):
-            assert table == [polys.evaluate_mod(f, step * r + offset, n) for r in range(n)]
-            assert table == [polys.evaluate_mod(f, step * r + offset, n) for r in range(n, 2 * n)]
-    assert polys.cubic_value_tables(2, 5, moduli) == polys.cubic_value_tables(2, 5, moduli, 1, 0)
-
-
 def test_primitive_part():
     assert polys.primitive_part([4, -8, 12]) == [1, -2, 3]
     assert polys.primitive_part([-2, 0, -4]) == [1, 0, 2]  # leading made positive
