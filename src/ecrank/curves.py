@@ -5,33 +5,76 @@ terms with a positive denominator, so point equality is plain structural
 equality and nothing is ever rounded.  `Fraction` is kept at the API
 boundary only: the on-curve test and the chord-tangent formulas work on
 the integer numerators and denominators, and each sum builds just its two
-result coordinates as `Fraction`s.  All operations are pure; Curve and
-Point are immutable and safe to share between threads.
+result coordinates as `Fraction`s.  All operations are pure.
+
+Value is the base of every ecrank value type, here and in the modules
+that import this one.  A value lists its two or more fields, in order, as
+`__slots__` and sets each once, in its `__init__`, through init_field;
+any later assignment or deletion raises AttributeError.  Values compare
+by exact type and fields, hash as their field tuple and rebuild through
+their constructor under copy and pickle, so they are safe to share
+between threads and processes.  The class statements are plain Python:
+nothing is generated or compiled when ecrank is imported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 from .errors import PointNotOnCurve, SingularCurve
 
+# The one way a value's __init__ sets a field: Value.__setattr__ refuses.
+init_field = object.__setattr__
 
-@dataclass(frozen=True)
-class Point:
+
+class Value:
+    """Immutable value with structural equality; see the module docstring."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # with two or more names, attrgetter returns the field tuple
+        cls._astuple = staticmethod(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple(self) == other._astuple(other)
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._astuple(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__qualname__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__qualname__}")
+
+    def __reduce__(self):
+        return type(self), self._astuple(self)
+
+
+class Point(Value):
     """Affine rational point, or the point at infinity when both fields are None."""
 
-    x: Fraction | None
-    y: Fraction | None
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if (self.x is None) != (self.y is None):
+    def __init__(self, x: Fraction | None, y: Fraction | None):
+        if (x is None) != (y is None):
             raise ValueError("affine points need both coordinates")
-        if self.x is not None:
-            if type(self.x) is not Fraction:
-                object.__setattr__(self, "x", Fraction(self.x))
-            if type(self.y) is not Fraction:
-                object.__setattr__(self, "y", Fraction(self.y))
+        if x is not None:
+            if type(x) is not Fraction:
+                x = Fraction(x)
+            if type(y) is not Fraction:
+                y = Fraction(y)
+        init_field(self, "x", x)
+        init_field(self, "y", y)
 
     @property
     def is_infinity(self) -> bool:
@@ -46,18 +89,18 @@ class Point:
 INFINITY = Point(None, None)
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Value):
     """y^2 = x^3 + b x + c with integer coefficients and nonzero discriminant."""
 
-    b: int
-    c: int
+    __slots__ = ("b", "c")
 
-    def __post_init__(self):
-        if not isinstance(self.b, int) or not isinstance(self.c, int):
+    def __init__(self, b: int, c: int):
+        if not isinstance(b, int) or not isinstance(c, int):
             raise TypeError("curve coefficients must be integers")
-        if 4 * self.b**3 + 27 * self.c**2 == 0:
-            raise SingularCurve(f"4b^3 + 27c^2 = 0 for b={self.b}, c={self.c}")
+        if 4 * b**3 + 27 * c**2 == 0:
+            raise SingularCurve(f"4b^3 + 27c^2 = 0 for b={b}, c={c}")
+        init_field(self, "b", b)
+        init_field(self, "c", c)
 
 
 def discriminant(curve: Curve) -> int:

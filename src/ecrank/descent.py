@@ -14,14 +14,13 @@ independent nonzero classes therefore bounds the rank from below.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import gcd
 
 from . import polys
 from .arith import exact_sqrt, rational_sqrt
-from .curves import INFINITY, Curve, Point, _add_raw, add, is_on_curve
+from .curves import INFINITY, Curve, Point, Value, _add_raw, add, init_field, is_on_curve
 from .errors import InfinityTarget, PointNotOnCurve
 from .family import (
     CanonicalPoints,
@@ -142,20 +141,30 @@ def halving_preimages(curve: Curve, target: Point) -> list[Point]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassVerdict:
+class ClassVerdict(Value):
     """Evidence that a point's class in E(Q)/2E(Q) is (non)zero.
 
     The quartic fields are None only for the point at infinity, whose
     class is zero without any halving.
     """
 
-    point: Point
-    nonzero: bool
-    quartic: tuple[int, ...] | None
-    quartic_roots: tuple[Fraction, ...] | None
-    preimages: tuple[Point, ...] | None
-    congruence: CongruenceEvidence | None = None  # from family.cite_congruence
+    __slots__ = ("point", "nonzero", "quartic", "quartic_roots", "preimages", "congruence")
+
+    def __init__(
+        self,
+        point: Point,
+        nonzero: bool,
+        quartic: tuple[int, ...] | None,
+        quartic_roots: tuple[Fraction, ...] | None,
+        preimages: tuple[Point, ...] | None,
+        congruence: CongruenceEvidence | None = None,
+    ):
+        init_field(self, "point", point)
+        init_field(self, "nonzero", nonzero)
+        init_field(self, "quartic", quartic)
+        init_field(self, "quartic_roots", quartic_roots)
+        init_field(self, "preimages", preimages)
+        init_field(self, "congruence", congruence)  # from family.cite_congruence
 
 
 def class_is_nonzero(curve: Curve, point: Point) -> ClassVerdict:
@@ -166,22 +175,25 @@ def class_is_nonzero(curve: Curve, point: Point) -> ClassVerdict:
     return ClassVerdict(point, not halves, quartic, roots, tuple(halves))
 
 
-@dataclass(frozen=True)
-class ProbePoint:
+class ProbePoint(Value):
     """A candidate third generator C with the four class checks that certify
     independence from the canonical pair: the classes of C, C + base,
     C + shifted and C + combined, in that order."""
 
-    point: Point
-    classes: tuple[ClassVerdict, ClassVerdict, ClassVerdict, ClassVerdict]
+    __slots__ = ("point", "classes")
+
+    def __init__(
+        self, point: Point, classes: tuple[ClassVerdict, ClassVerdict, ClassVerdict, ClassVerdict]
+    ):
+        init_field(self, "point", point)
+        init_field(self, "classes", classes)
 
     @property
     def independent(self) -> bool:
         return all(v.nonzero for v in self.classes)
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(Value):
     """Self-contained, re-checkable evidence for a Mordell-Weil rank bound;
     it carries the curve and the hypothesis report, so a record is packed
     from it alone.
@@ -192,17 +204,45 @@ class RankCertificate:
     the bound to 3.
     """
 
-    params: FamilyParams
-    curve: Curve
-    hypotheses: HypothesisReport
-    torsion: TorsionReport
-    points: CanonicalPoints
-    class_base: ClassVerdict
-    class_shifted: ClassVerdict
-    class_combined: ClassVerdict
-    rank_lower_bound: int
-    probe_height: int | None = None
-    probe_points: tuple[ProbePoint, ...] = ()
+    __slots__ = (
+        "params",
+        "curve",
+        "hypotheses",
+        "torsion",
+        "points",
+        "class_base",
+        "class_shifted",
+        "class_combined",
+        "rank_lower_bound",
+        "probe_height",
+        "probe_points",
+    )
+
+    def __init__(
+        self,
+        params: FamilyParams,
+        curve: Curve,
+        hypotheses: HypothesisReport,
+        torsion: TorsionReport,
+        points: CanonicalPoints,
+        class_base: ClassVerdict,
+        class_shifted: ClassVerdict,
+        class_combined: ClassVerdict,
+        rank_lower_bound: int,
+        probe_height: int | None = None,
+        probe_points: tuple[ProbePoint, ...] = (),
+    ):
+        init_field(self, "params", params)
+        init_field(self, "curve", curve)
+        init_field(self, "hypotheses", hypotheses)
+        init_field(self, "torsion", torsion)
+        init_field(self, "points", points)
+        init_field(self, "class_base", class_base)
+        init_field(self, "class_shifted", class_shifted)
+        init_field(self, "class_combined", class_combined)
+        init_field(self, "rank_lower_bound", rank_lower_bound)
+        init_field(self, "probe_height", probe_height)
+        init_field(self, "probe_points", probe_points)
 
     @property
     def torsion_trivial(self) -> bool:
@@ -393,6 +433,16 @@ def rank_ge3_probe(cert: RankCertificate, height_bound: int, den_bound: int = 2)
     bound = cert.rank_lower_bound
     if bound >= 2 and any(p.independent for p in probes):
         bound = 3
-    return replace(
-        cert, rank_lower_bound=bound, probe_height=height_bound, probe_points=tuple(probes)
+    return RankCertificate(
+        params,
+        curve,
+        cert.hypotheses,
+        cert.torsion,
+        pts,
+        cert.class_base,
+        cert.class_shifted,
+        cert.class_combined,
+        bound,
+        height_bound,
+        tuple(probes),
     )

@@ -1,9 +1,10 @@
 """The parametric curve family y^2 = x^3 - m^2 x + (pqr)^2.
 
-FamilyParams carries (m, p, q, r); constructing one enforces that p, q, r
-are distinct odd primes.  The congruence hypotheses on m that the torsion
-and rank arguments need are *reported*, never silently assumed: the sweep
-machinery deliberately explores parameter sets outside the proven region.
+FamilyParams carries (m, p, q, r); constructing one enforces that all four
+are ints (not bools or floats) and that p, q, r are distinct odd primes.
+The congruence hypotheses on m that the torsion and rank arguments need
+are *reported*, never silently assumed: the sweep machinery deliberately
+explores parameter sets outside the proven region.
 
 It is also the one home of the paper's family arguments, cited by
 hypothesis class; no certificate rests on them.  cite_congruence records
@@ -17,17 +18,11 @@ order-7 facts are only cited, not derived from psi_5 or psi_7.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, NamedTuple
-
 from .arith import is_prime, two_adic_valuation
-from .curves import Curve, Point, add, is_on_curve
+from .curves import Curve, Point, Value, add, init_field, is_on_curve
 from .errors import InconsistentCertificate, NotPrime, PrimeIsTwo, PrimesNotDistinct
 from .errors import UnsupportedOrder
-
-if TYPE_CHECKING:  # descent imports this module: annotations only
-    from .descent import ClassVerdict
-    from .torsion import TorsionReport
+from .torsion import TorsionReport
 
 # Weakest two-adic exponent under which the congruence arguments all apply:
 # the hypothesis is m = 2 (mod 2^K).
@@ -39,23 +34,27 @@ def in_hypothesis_class(m: int) -> bool:
     return m % (1 << HYPOTHESIS_K) == 2
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    m: int
-    p: int
-    q: int
-    r: int
+class FamilyParams(Value):
+    __slots__ = ("m", "p", "q", "r")
 
-    def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
-        for v in (self.p, self.q, self.r):
+    def __init__(self, m: int, p: int, q: int, r: int):
+        # a float or a bool passes is_prime and m >= 1, and fails or prints later
+        for name, v in (("m", m), ("p", p), ("q", q), ("r", r)):
+            if type(v) is not int:
+                raise ValueError(f"{name} must be an int, got {v!r}")
+        if m < 1:
+            raise ValueError(f"m must be a positive integer, got {m!r}")
+        for v in (p, q, r):
             if v == 2:
                 raise PrimeIsTwo("the parameter primes must be odd")
             if not is_prime(v):
                 raise NotPrime(f"{v} is not prime")
-        if len({self.p, self.q, self.r}) != 3:
-            raise PrimesNotDistinct(f"p, q, r must be distinct, got {self.p}, {self.q}, {self.r}")
+        if len({p, q, r}) != 3:
+            raise PrimesNotDistinct(f"p, q, r must be distinct, got {p}, {q}, {r}")
+        init_field(self, "m", m)
+        init_field(self, "p", p)
+        init_field(self, "q", q)
+        init_field(self, "r", r)
 
     @property
     def pqr(self) -> int:
@@ -74,15 +73,18 @@ class FamilyParams:
         return two_adic_valuation(self.m - 2)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(Value):
     """Independently testable flags; all four true means the torsion and
     rank theorems' hypotheses hold for this parameter set."""
 
-    mod3_ok: bool     # m not divisible by 3
-    mod2k_ok: bool    # m = 2 (mod 2^HYPOTHESIS_K)
-    coprime_ok: bool  # none of p, q, r divides m
-    primes_ok: bool   # p, q, r distinct odd primes (enforced at construction)
+    __slots__ = ("mod3_ok", "mod2k_ok", "coprime_ok", "primes_ok")
+
+    def __init__(self, mod3_ok: bool, mod2k_ok: bool, coprime_ok: bool, primes_ok: bool):
+        init_field(self, "mod3_ok", mod3_ok)        # m not divisible by 3
+        init_field(self, "mod2k_ok", mod2k_ok)      # m = 2 (mod 2^HYPOTHESIS_K)
+        init_field(self, "coprime_ok", coprime_ok)  # none of p, q, r divides m
+        # p, q, r distinct odd primes (enforced at construction)
+        init_field(self, "primes_ok", primes_ok)
 
     @property
     def all_ok(self) -> bool:
@@ -108,10 +110,18 @@ def build_family_curve(params: FamilyParams) -> Curve:
     return Curve(-params.m * params.m, params.pqr * params.pqr)
 
 
-class CanonicalPoints(NamedTuple):
-    base: Point      # (0, pqr)
-    shifted: Point   # (m, pqr)
-    combined: Point  # group-law sum of the two, lands at x = -m
+class CanonicalPoints(Value):
+    """The evident pair and its sum; iterates as (base, shifted, combined)."""
+
+    __slots__ = ("base", "shifted", "combined")
+
+    def __init__(self, base: Point, shifted: Point, combined: Point):
+        init_field(self, "base", base)          # (0, pqr)
+        init_field(self, "shifted", shifted)    # (m, pqr)
+        init_field(self, "combined", combined)  # group-law sum of the two, lands at x = -m
+
+    def __iter__(self):
+        return iter(self._astuple(self))
 
 
 def canonical_points(params: FamilyParams) -> CanonicalPoints:
@@ -136,13 +146,15 @@ def canonical_points(params: FamilyParams) -> CanonicalPoints:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruenceEvidence:
+class CongruenceEvidence(Value):
     """Record of a residue argument ruling the target out of 2E(Q)."""
 
-    target_label: str  # "base" | "shifted" | "combined"
-    modulus: int
-    detail: str
+    __slots__ = ("target_label", "modulus", "detail")
+
+    def __init__(self, target_label: str, modulus: int, detail: str):
+        init_field(self, "target_label", target_label)  # "base" | "shifted" | "combined"
+        init_field(self, "modulus", modulus)
+        init_field(self, "detail", detail)
 
 
 # The paper's residue argument for each canonical target.  Each holds for
@@ -198,7 +210,15 @@ def cite_congruence(params: FamilyParams, verdict: ClassVerdict) -> ClassVerdict
         return verdict
     if not verdict.nonzero:
         raise InconsistentCertificate(f"congruence and halving routes disagree on {verdict.point}")
-    return replace(verdict, congruence=evidence)
+    # type(verdict) is descent.ClassVerdict; descent imports this module
+    return type(verdict)(
+        verdict.point,
+        verdict.nonzero,
+        verdict.quartic,
+        verdict.quartic_roots,
+        verdict.preimages,
+        evidence,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +230,13 @@ NOT_OBSTRUCTED = "not_obstructed"
 HYPOTHESIS_NOT_MET = "hypothesis_not_met"
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    order: int
-    status: str  # OBSTRUCTED | NOT_OBSTRUCTED | HYPOTHESIS_NOT_MET
-    reason: str
+class ObstructionVerdict(Value):
+    __slots__ = ("order", "status", "reason")
+
+    def __init__(self, order: int, status: str, reason: str):
+        init_field(self, "order", order)
+        init_field(self, "status", status)  # OBSTRUCTED | NOT_OBSTRUCTED | HYPOTHESIS_NOT_MET
+        init_field(self, "reason", reason)
 
     @property
     def obstructed(self) -> bool:
@@ -279,4 +301,12 @@ def cite_obstructions(params: FamilyParams, report: TorsionReport) -> TorsionRep
             raise InconsistentCertificate(
                 f"order-{verdict.order} point found despite congruence obstruction"
             )
-    return replace(report, obstructions=obstructions)
+    return TorsionReport(
+        report.bound_from_reduction,
+        report.primes_used,
+        report.integral_candidates,
+        report.torsion_order,
+        report.generators,
+        report.structure,
+        obstructions,
+    )

@@ -19,11 +19,10 @@ from __future__ import annotations
 import json
 import marshal
 import time
-from dataclasses import dataclass
 from itertools import combinations, zip_longest
 
 from .arith import is_prime
-from .curves import Point, discriminant
+from .curves import Point, Value, discriminant, init_field
 from .descent import (
     ClassVerdict,
     ProbePoint,
@@ -44,41 +43,62 @@ CSV_HEADER = "m,p,q,r,discriminant,torsion_order,rank_lower_bound,probe_independ
 _PROBE_CLASS_LABELS = ("c", "c_base", "c_shifted", "c_combined")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Value):
     """Full description of a sweep; records are a function of this alone."""
 
-    m_values: tuple[int, ...]
-    prime_pool: tuple[int, ...]
-    height_bound: int = 10_000
-    num_reduction_primes: int = 5
-    den_bound: int = 2
-    probe: bool = True
-    require_hypotheses: bool = False
-    output_path: str | None = None
-    output_format: str = "jsonl"  # "jsonl" | "csv"
+    __slots__ = (
+        "m_values",
+        "prime_pool",
+        "height_bound",
+        "num_reduction_primes",
+        "den_bound",
+        "probe",
+        "require_hypotheses",
+        "output_path",
+        "output_format",
+    )
 
-    def __post_init__(self):
-        if not self.m_values or min(self.m_values) < 1:
-            raise ValueError(f"m values must be positive integers, got {list(self.m_values)}")
-        if len(set(self.prime_pool)) < 3:
+    def __init__(
+        self,
+        m_values: tuple[int, ...],
+        prime_pool: tuple[int, ...],
+        height_bound: int = 10_000,
+        num_reduction_primes: int = 5,
+        den_bound: int = 2,
+        probe: bool = True,
+        require_hypotheses: bool = False,
+        output_path: str | None = None,
+        output_format: str = "jsonl",  # "jsonl" | "csv"
+    ):
+        if not m_values or min(m_values) < 1:
+            raise ValueError(f"m values must be positive integers, got {list(m_values)}")
+        if len(set(prime_pool)) < 3:
             raise ValueError("prime pool needs at least three distinct primes")
-        if self.num_reduction_primes < 1:
+        if num_reduction_primes < 1:
             raise ValueError("the number of reduction primes must be at least 1")
-        if self.output_format not in ("jsonl", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        _check_probe_bounds(self.height_bound, self.den_bound)
-        for p in self.prime_pool:
+        if output_format not in ("jsonl", "csv"):
+            raise ValueError(f"unknown output format {output_format!r}")
+        _check_probe_bounds(height_bound, den_bound)
+        for p in prime_pool:
             if p == 2:
                 raise PrimeIsTwo("prime pool entries must be odd")
             if not is_prime(p):
                 raise NotPrime(f"prime pool entry {p} is not prime")
-        if self.require_hypotheses:
-            bad = [m for m in self.m_values if not in_hypothesis_class(m)]
+        if require_hypotheses:
+            bad = [m for m in m_values if not in_hypothesis_class(m)]
             if bad:
                 raise ValueError(
                     f"hypothesis mode requires m = 2 (mod {1 << HYPOTHESIS_K}); offending m: {bad}"
                 )
+        init_field(self, "m_values", m_values)
+        init_field(self, "prime_pool", prime_pool)
+        init_field(self, "height_bound", height_bound)
+        init_field(self, "num_reduction_primes", num_reduction_primes)
+        init_field(self, "den_bound", den_bound)
+        init_field(self, "probe", probe)
+        init_field(self, "require_hypotheses", require_hypotheses)
+        init_field(self, "output_path", output_path)
+        init_field(self, "output_format", output_format)
 
     def combos(self) -> list[tuple[int, int, int, int]]:
         out = []

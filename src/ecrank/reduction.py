@@ -7,20 +7,21 @@ count at 2 (the torsion bound uses odd primes only).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .arith import is_prime, primes_from
-from .curves import Curve, discriminant
+from .curves import Curve, Value, discriminant, init_field
 from .errors import BadReduction, InconsistentCertificate, NotPrime
 
 
-@dataclass(frozen=True)
-class ReducedCurve:
-    modulus: int
-    b_mod: int
-    c_mod: int
-    reduction_type: str  # "good" | "bad"
+class ReducedCurve(Value):
+    __slots__ = ("modulus", "b_mod", "c_mod", "reduction_type")
+
+    def __init__(self, modulus: int, b_mod: int, c_mod: int, reduction_type: str):
+        init_field(self, "modulus", modulus)
+        init_field(self, "b_mod", b_mod)
+        init_field(self, "c_mod", c_mod)
+        init_field(self, "reduction_type", reduction_type)  # "good" | "bad"
 
     @property
     def is_good(self) -> bool:

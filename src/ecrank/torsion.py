@@ -16,13 +16,12 @@ beside the family congruences that family.cite_obstructions cites.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import gcd
 
 from . import polys
 from .arith import divisors, square_part_root
-from .curves import INFINITY, Curve, Point, _add_raw, discriminant, scalar_mul
+from .curves import INFINITY, Curve, Point, Value, _add_raw, discriminant, init_field, scalar_mul
 from .errors import InconsistentCertificate, UnsupportedOrder
 from .reduction import count_points, good_odd_primes, reduce_curve
 
@@ -100,11 +99,13 @@ def division_polynomial(curve: Curve, n: int) -> list[int]:
     return polys.add(polys.mul(psi5, psi3_cubed), polys.scale(polys.mul(g4_cubed, f2), -128))
 
 
-@dataclass(frozen=True)
-class RootVerdict:
-    order: int
-    has_integer_root: bool
-    roots: tuple[int, ...]
+class RootVerdict(Value):
+    __slots__ = ("order", "has_integer_root", "roots")
+
+    def __init__(self, order: int, has_integer_root: bool, roots: tuple[int, ...]):
+        init_field(self, "order", order)
+        init_field(self, "has_integer_root", has_integer_root)
+        init_field(self, "roots", roots)
 
     @property
     def certifies_no_point(self) -> bool:
@@ -124,15 +125,35 @@ def division_poly_has_integer_root(curve: Curve, n: int) -> RootVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorsionReport:
-    bound_from_reduction: int
-    primes_used: tuple[tuple[int, int], ...]
-    integral_candidates: tuple[Point, ...]
-    torsion_order: int
-    generators: tuple[Point, ...]
-    structure: str
-    obstructions: tuple = ()  # family.ObstructionVerdict per order, from family.cite_obstructions
+class TorsionReport(Value):
+    __slots__ = (
+        "bound_from_reduction",
+        "primes_used",
+        "integral_candidates",
+        "torsion_order",
+        "generators",
+        "structure",
+        "obstructions",
+    )
+
+    def __init__(
+        self,
+        bound_from_reduction: int,
+        primes_used: tuple[tuple[int, int], ...],
+        integral_candidates: tuple[Point, ...],
+        torsion_order: int,
+        generators: tuple[Point, ...],
+        structure: str,
+        obstructions: tuple = (),
+    ):
+        init_field(self, "bound_from_reduction", bound_from_reduction)
+        init_field(self, "primes_used", primes_used)
+        init_field(self, "integral_candidates", integral_candidates)
+        init_field(self, "torsion_order", torsion_order)
+        init_field(self, "generators", generators)
+        init_field(self, "structure", structure)
+        # family.ObstructionVerdict per order, from family.cite_obstructions
+        init_field(self, "obstructions", obstructions)
 
     @property
     def is_trivial(self) -> bool:

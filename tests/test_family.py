@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ from ecrank.family import (
     cite_obstructions,
     validate_hypotheses,
 )
-from ecrank.torsion import nagell_lutz_torsion
+from ecrank.torsion import TorsionReport, nagell_lutz_torsion
 
 GRID_SEED = Path(__file__).resolve().parents[1] / "bench" / "data" / "grid_seed.jsonl"
 
@@ -33,6 +32,14 @@ def test_params_validation():
         FamilyParams(2, 2, 3, 5)
     with pytest.raises(ValueError):
         FamilyParams(0, 3, 5, 7)
+
+
+@pytest.mark.parametrize("args", [(2, 3.0, 5, 7), (True, 3, 5, 7), (2, 3, 5, 7.0), (2, 3, 5, False)])
+def test_params_reject_values_that_are_not_ints(args):
+    """is_prime(3.0) is True and True >= 1, so a float or a bool used to
+    pass the checks and fail later inside Curve, or print as m=True."""
+    with pytest.raises(ValueError, match="must be an int"):
+        FamilyParams(*args)
 
 
 def test_hypothesis_flags():
@@ -139,11 +146,22 @@ def test_cited_class_with_a_half_is_inconsistent(monkeypatch):
 def test_cited_obstruction_with_a_point_of_that_order_is_inconsistent():
     """A torsion order divisible by an obstructed prime contradicts the
     citation; where the order-3 hypothesis fails, the same order passes."""
+    def with_order_3(report):
+        return TorsionReport(
+            report.bound_from_reduction,
+            report.primes_used,
+            report.integral_candidates,
+            3,
+            report.generators,
+            report.structure,
+            report.obstructions,
+        )
+
     params = FamilyParams(2, 3, 7, 11)
     report = nagell_lutz_torsion(build_family_curve(params))
     with pytest.raises(InconsistentCertificate, match="order-3"):
-        cite_obstructions(params, replace(report, torsion_order=3))
+        cite_obstructions(params, with_order_3(report))
     m3 = FamilyParams(3, 5, 7, 11)
     report = nagell_lutz_torsion(build_family_curve(m3))
-    cited = cite_obstructions(m3, replace(report, torsion_order=3))
+    cited = cite_obstructions(m3, with_order_3(report))
     assert [o.status for o in cited.obstructions[1:]] == ["hypothesis_not_met"] * 3

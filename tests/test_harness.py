@@ -74,7 +74,9 @@ def test_records_match_frozen_seed(capsys):
         line = canonical_comparable(build_curve_record(FamilyParams(*params)))
         assert hashlib.sha256(line.encode()).hexdigest() == digest, params
     assert main(["recheck", str(GRID_SEED)]) == 0
-    assert "recheck: true" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "record 0: ok (FamilyParams(m=2, p=3, q=5, r=7))"
+    assert out[-1] == "recheck: true"
 
 
 def test_record_determinism():
