@@ -325,6 +325,30 @@ def _square_pattern(n: int, k: int, a: int, bn: int, cn: int) -> int | None:
     return int(squares[::-1], 2)  # digit r of the reversed string is bit r
 
 
+def _progression(w: int) -> tuple[int, int, int, int]:
+    """(k, a, w^4, w^6) at denominator w: search_points scans u = k v + a,
+    and F(u) = u^3 + (b w^4) u + c w^6, so the pattern it reads at modulus
+    n has the key (n, k, a, b w^4 mod n, c w^6 mod n)."""
+    k = (8 if w % 2 == 0 else 1) * (3 if w % 3 == 0 else 1)
+    w4 = w**4
+    return k, 1 % k, w4, w4 * w * w
+
+
+def _warm_square_patterns(bs, cs, den_bound: int) -> None:
+    """Build every pattern that search_points(curve, H, den_bound) reads,
+    for H >= 1, on a curve with b in bs and c in cs.  At each w and modulus
+    n those keys are the product of the residues of b w^4 and of c w^6, so
+    the cost is that of the distinct residues and keys, not of the pairs
+    (b, c)."""
+    for w in range(1, den_bound + 1):
+        k, a, w4, w6 = _progression(w)
+        for n in _SIEVE_MODULI:
+            cns = {c * w6 % n for c in cs}
+            for bn in {b * w4 % n for b in bs}:
+                for cn in cns:
+                    _square_pattern(n, k, a, bn, cn)
+
+
 def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[Point]:
     """Rational points with x = u/w^2, |u| <= height_bound * w^2, w <= den_bound.
 
@@ -351,22 +375,24 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
     Before any square root, a ratpoints-style sieve (M. Stoll) strikes out
     every v whose F(k v + a) is a non-residue modulo 16 or a small odd
     prime.  For each modulus n, the residues of v that pass form an n-bit
-    mask, _square_pattern(n, k, a, b w^4 mod n, c w^6 mod n), cached by
-    that residue key and so built once per process; it is tiled by
-    doubling once per w, and a modulus where every residue passes, such as
-    16 at even w, gets no tile.  A block of the progression from `start`
-    is one integer whose bit i stands for v = start + i; it is ANDed with
-    each tile shifted right by start mod n, and the set bits left are
-    walked in its binary digits.  The sieve only filters: each survivor is
+    mask, _square_pattern(n, k, a, b w^4 mod n, c w^6 mod n), with k, a
+    and the powers of w from _progression.  It is cached by that residue
+    key and so built once per process; a sweep that forks workers builds
+    every key its grid reads before the fork (_warm_square_patterns), so
+    the workers build none.  The mask is tiled by doubling once per w,
+    and a modulus where every residue passes, such as 16 at even w, gets
+    no tile.  A block of the progression from `start` is one integer
+    whose bit i stands for v = start + i; it is ANDed with each tile
+    shifted right by start mod n, and the set bits left are walked in its
+    binary digits.  The sieve only filters: each survivor is
     confirmed by exact_sqrt, so the result does not depend on the moduli.
     """
     found: list[Point] = []
     for w in range(1, den_bound + 1):
         w2 = w * w
-        bw4, cw6 = curve.b * w2 * w2, curve.c * w2 * w2 * w2
+        k, a, w4, w6 = _progression(w)
+        bw4, cw6 = curve.b * w4, curve.c * w6
         hi = height_bound * w2
-        k = (8 if w % 2 == 0 else 1) * (3 if w % 3 == 0 else 1)
-        a = 1 % k
         lo, last = -((hi + a) // k), (hi - a) // k  # |k v + a| <= hi for lo <= v <= last
         width = min(_SIEVE_BLOCK, last - lo + 1)
         tiles = []

@@ -28,12 +28,13 @@ from .descent import (
     ProbePoint,
     RankCertificate,
     _check_probe_bounds,
+    _warm_square_patterns,
     rank_ge2_certificate,
     rank_ge3_probe,
 )
 from .errors import NotPrime, PrimeIsTwo, SweepResumeMismatch, SweepWorkerDied
 from .family import HYPOTHESIS_K, CongruenceEvidence, FamilyParams, in_hypothesis_class
-from .torsion import TorsionReport
+from .torsion import TorsionReport, _warm_cubic_values
 
 SCHEMA_VERSION = 1
 
@@ -70,6 +71,12 @@ class SweepSpec(Value):
         output_path: str | None = None,
         output_format: str = "jsonl",  # "jsonl" | "csv"
     ):
+        # a float or a bool passes the checks below, and would fail only
+        # once the sweep has written to its file
+        for name, values in (("m values", m_values), ("prime pool entries", prime_pool)):
+            for v in values:
+                if type(v) is not int:
+                    raise ValueError(f"{name} must be ints, got {v!r}")
         if not m_values or min(m_values) < 1:
             raise ValueError(f"m values must be positive integers, got {list(m_values)}")
         if len(set(prime_pool)) < 3:
@@ -387,11 +394,29 @@ def _stream_stride(conn, todo: list, opts: dict, start: int, stride: int) -> Non
         conn.close()
 
 
+def _warm_sieve_tables(spec: SweepSpec) -> None:
+    """Build in this process every search pattern and Nagell-Lutz value
+    set that the sweep of spec reads, so that workers forked after it
+    build none.  The combos are every pair of an m value and a prime
+    triple, so the sweep meets every pair of b = -m^2 and c = (pqr)^2, and
+    each table's keys are the product of their residues: the cost is that
+    of the m values, the triples and the keys, not of the combos.  The
+    halving tables stay lazy, since a worker misses few of them and the
+    grid reads a small share of their keys."""
+    bs = {-m * m for m in spec.m_values}
+    cs = {(p * q * r) ** 2 for p, q, r in combinations(set(spec.prime_pool), 3)}
+    _warm_cubic_values(bs, cs)
+    if spec.probe and spec.height_bound >= 1:  # else no record runs the search
+        _warm_square_patterns(bs, cs, spec.den_bound)
+
+
 def _fork_worker(todo: list, opts: dict, start: int, stride: int):
     """Fork the worker for todo[start::stride]; its pipe's receiving end
     and its process.  Fork, not spawn: a spawned worker would import
     ecrank and fill its caches afresh, which costs more than a whole
-    README grid, while a forked one starts with the caller's."""
+    README grid, while a forked one starts with the caller's, and
+    run_sweep fills those with _warm_sieve_tables before it forks.  What
+    the worker adds to its caches dies with it."""
     import multiprocessing  # only here: just sweeps with threads >= 2 fork
 
     fork = multiprocessing.get_context("fork")
@@ -479,7 +504,11 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
     line back over its own pipe.  The caller takes the lines in combo
     order, so the file, progress calls and returned lines are the same for
     any k.  An exception in a worker is raised here at its combo's turn,
-    and no worker outlives the call.
+    and no worker outlives the call.  With k >= 2 the caller first builds
+    every search pattern and Nagell-Lutz value set the grid reads
+    (_warm_sieve_tables), so the workers, whose own cache entries die with
+    them, start with all of them; a process that runs many sweeps builds
+    each table once.
 
     Raises ValueError for threads below 1, before the file is touched.
     """
@@ -497,6 +526,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
     skip = len(on_disk) - 1 if spec.output_format == "csv" and on_disk else len(on_disk)
     todo = combos[skip:]
     k = max(1, min(threads, len(todo)))
+    if k > 1:
+        _warm_sieve_tables(spec)
     workers = []  # (receiving end, process) of the workers for j = 1 .. k - 1
     lines: list[str] = []
     fh = None

@@ -46,6 +46,17 @@ def _cubic_values(n: int, bn: int, cn: int) -> frozenset[int]:
     return frozenset([(x * x * x + bn * x + cn) % n for x in range(n)])
 
 
+def _warm_cubic_values(bs, cs) -> None:
+    """Build every value set that integral_torsion_candidates reads on a
+    curve with b in bs and c in cs: at each modulus, the product of the
+    residues of b and of c."""
+    for n in _CANDIDATE_MODULI:
+        cns = {c % n for c in cs}
+        for bn in {b % n for b in bs}:
+            for cn in cns:
+                _cubic_values(n, bn, cn)
+
+
 def torsion_order_bound(curve: Curve, num_primes: int) -> tuple[int, list[tuple[int, int]]]:
     """gcd of #E(F_ell) over the first `num_primes` odd primes of good
     reduction, with per-prime evidence.  The torsion order divides it."""

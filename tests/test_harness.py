@@ -100,7 +100,14 @@ def test_recheck_fresh_and_tampered():
         assert not recheck_record(tampered)
 
 
-def test_sweep_spec_validation():
+def test_sweep_spec_validation(tmp_path):
+    out = tmp_path / "sweep.csv"
+    for m_values, pool in (((2.0, 34), (3, 5, 7)), ((True, 34), (3, 5, 7)),
+                           ((2, 34), (3, 5.0, 7)), ((2, 34), (True, 3, 5, 7))):
+        with pytest.raises(ValueError, match="must be ints"):
+            run_sweep(SweepSpec(m_values=m_values, prime_pool=pool, output_format="csv",
+                                output_path=str(out)))
+    assert not out.exists()
     with pytest.raises(ValueError):
         SweepSpec(m_values=(2,), prime_pool=())
     with pytest.raises(ValueError):

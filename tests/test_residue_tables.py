@@ -4,12 +4,15 @@ halving sieve's doubled-x tables and the Nagell-Lutz candidate sets.
 Each entry must equal what a direct computation from the curve's own
 coefficients gives, curves whose coefficients agree modulo every sieve
 modulus must share entries, and no sweep may grow a table past the number
-of residue keys it can have.
+of residue keys it can have.  A sweep that forks builds, before the fork,
+exactly the search patterns and value sets its grid reads.
 """
 import random
 from math import lcm
 
-from ecrank import descent, polys, torsion
+import pytest
+
+from ecrank import descent, polys, records, torsion
 from ecrank.curves import Curve, Point
 from ecrank.family import FamilyParams, build_family_curve
 from ecrank.records import SweepSpec, run_sweep
@@ -23,9 +26,18 @@ SHIFTED = ((1, 1), (8, 5), (3, 2), (24, 13))
 
 BUILDERS = (descent._square_pattern, torsion._cubic_values, descent._doubled_x_table)
 
+# w up to 6 runs all four progressions
+GRID = dict(m_values=(2, 34, 66), prime_pool=(3, 5, 7, 11, 13), height_bound=60, den_bound=6,
+            num_reduction_primes=3)
+
 
 def _sizes():
     return [builder.cache_info().currsize for builder in BUILDERS]
+
+
+def _clear():
+    for builder in BUILDERS:
+        builder.cache_clear()
 
 
 def _coefficients(rng):
@@ -115,14 +127,42 @@ def test_curves_with_equal_residues_share_tables(monkeypatch):
     assert _sizes() == sizes
 
 
-def test_tables_stay_within_their_residue_bounds():
-    for builder in BUILDERS:  # drop the other progressions the tests above built
-        builder.cache_clear()
-    run_sweep(SweepSpec(m_values=(2, 34, 66), prime_pool=(3, 5, 7, 11, 13), height_bound=60,
-                        den_bound=6, num_reduction_primes=3))
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tables_stay_within_their_residue_bounds(threads):
+    _clear()  # drop the other progressions the tests above built
+    run_sweep(SweepSpec(**GRID), threads=threads)
     squares = [sum(n * n for n in moduli)
                for moduli in (descent._SIEVE_MODULI, torsion._CANDIDATE_MODULI,
                               descent._HALVING_SIEVE_PRIMES)]
     bounds = [len(PROGRESSIONS) * squares[0], *squares[1:]]
     assert bounds == [42_872, 2_528, 1_552]
     assert all(0 < size <= bound for size, bound in zip(_sizes(), bounds))
+
+
+@pytest.mark.parametrize("probe", [True, False])
+def test_warm_step_builds_the_keys_a_sweep_reads(monkeypatch, probe):
+    """The search patterns and value sets built before a fork are exactly
+    those a serial sweep reads: none is missing and none is extra.  Without
+    the probe no record searches, so no pattern is built."""
+    spec = SweepSpec(**GRID, probe=probe)
+    _clear()
+    records._warm_sieve_tables(spec)
+    warmed = _sizes()[:2]
+    assert (warmed[0] > 0) == probe and warmed[1] > 0
+    run_sweep(spec, threads=1)
+    assert _sizes()[:2] == warmed
+    _clear()
+    run_sweep(spec, threads=1)
+    assert _sizes()[:2] == warmed
+
+    _clear()
+    at_fork = []
+    fork = records._fork_worker
+
+    def recording_fork(*args):
+        at_fork.append(_sizes()[:2])
+        return fork(*args)
+
+    monkeypatch.setattr(records, "_fork_worker", recording_fork)
+    run_sweep(spec, threads=2)
+    assert at_fork == [warmed]
