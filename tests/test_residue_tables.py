@@ -127,16 +127,44 @@ def test_curves_with_equal_residues_share_tables(monkeypatch):
     assert _sizes() == sizes
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_tables_stay_within_their_residue_bounds(threads):
-    _clear()  # drop the other progressions the tests above built
-    run_sweep(SweepSpec(**GRID), threads=threads)
+def _recording(builder, keys):
+    """builder, noting each key it is called with."""
+    def call(*key):
+        keys.add(key)
+        return builder(*key)
+    return call
+
+
+def _assert_within_bounds():
     squares = [sum(n * n for n in moduli)
                for moduli in (descent._SIEVE_MODULI, torsion._CANDIDATE_MODULI,
                               descent._HALVING_SIEVE_PRIMES)]
     bounds = [len(PROGRESSIONS) * squares[0], *squares[1:]]
     assert bounds == [42_872, 2_528, 1_552]
     assert all(0 < size <= bound for size, bound in zip(_sizes(), bounds))
+
+
+def test_tables_stay_within_their_residue_bounds(monkeypatch):
+    _clear()  # drop the other progressions the tests above built
+    keys = {name: set() for name in ("_square_pattern", "_cubic_values", "_doubled_x_table")}
+    for module, name in ((descent, "_square_pattern"), (torsion, "_cubic_values"),
+                         (descent, "_doubled_x_table")):
+        monkeypatch.setattr(module, name, _recording(getattr(module, name), keys[name]))
+    run_sweep(SweepSpec(**GRID), threads=1)
+    _assert_within_bounds()
+    for n, k, a, bn, cn in keys["_square_pattern"]:
+        assert n in descent._SIEVE_MODULI and 0 <= bn < n and 0 <= cn < n
+    assert {key[1:3] for key in keys["_square_pattern"]} == set(PROGRESSIONS)
+    for n, bn, cn in keys["_cubic_values"]:
+        assert n in torsion._CANDIDATE_MODULI and 0 <= bn < n and 0 <= cn < n
+    for q, bq, cq in keys["_doubled_x_table"]:
+        assert q in descent._HALVING_SIEVE_PRIMES and 0 <= bq < q and 0 <= cq < q
+
+
+def test_forked_sweep_stays_within_the_residue_bounds():
+    _clear()
+    run_sweep(SweepSpec(**GRID), threads=2)
+    _assert_within_bounds()
 
 
 @pytest.mark.parametrize("probe", [True, False])
