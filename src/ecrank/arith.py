@@ -13,6 +13,10 @@ square_part_root scans only up to the cube root of what is left, settles
 cofactors below 2^63 without rho, and hands those from 2^63 up straight to
 the same rho stage, with no second scan below 2^16.
 
+Memo is the dict that holds each sieve table of descent and torsion: an
+entry is built from its key on first use, and entries built in another
+process are added with update().
+
 Everything here is deterministic.  Pollard rho walks a fixed parameter
 schedule, so identical inputs always factor the same way; that property is
 what makes the record files byte-reproducible.
@@ -331,3 +335,18 @@ def two_adic_valuation(n: int) -> int:
         raise ValueError("2-adic valuation of 0 is unbounded")
     n = abs(n)
     return (n & -n).bit_length() - 1
+
+
+class Memo(dict):
+    """A dict whose entry table[key] is build(*key), built on first use and
+    kept; update() adds entries built elsewhere."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(*key)
+        return value

@@ -15,11 +15,10 @@ independent nonzero classes therefore bounds the rank from below.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import gcd
 
 from . import polys
-from .arith import exact_sqrt, rational_sqrt
+from .arith import Memo, exact_sqrt, rational_sqrt
 from .curves import INFINITY, Curve, Point, Value, _add_raw, add, init_field, is_on_curve
 from .errors import InfinityTarget, PointNotOnCurve
 from .family import (
@@ -68,9 +67,6 @@ def halving_quartic(curve: Curve, target: Point) -> tuple[int, int, int, int, in
 _HALVING_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
 
-# One table per (q, b mod q, c mod q), built when a halving first reaches q:
-# at most 1,552 tables, the sum of q^2 over the sieve's primes.
-@cache
 def _doubled_x_table(q: int, bq: int, cq: int) -> bytes | None:
     """The halving sieve's table mod q for b = bq and c = cq (mod q): None
     when q divides 4b^3 + 27c^2; otherwise table[t] is 1 when
@@ -85,6 +81,11 @@ def _doubled_x_table(q: int, bq: int, cq: int) -> bytes | None:
         if fx:
             table[((x * x - bq) ** 2 - 8 * cq * x) * pow(4 * fx, -1, q) % q] = 1
     return bytes(table)
+
+
+# _doubled_x_table(q, b mod q, c mod q) by its key, built when a halving first
+# reaches q: at most 1,552 tables, the sum of q^2 over the sieve's primes.
+_DOUBLED_X_TABLES = Memo(_doubled_x_table)
 
 
 def _halve(curve: Curve, target: Point):
@@ -103,7 +104,7 @@ def _halve(curve: Curve, target: Point):
     f(x) != 0, since f(x) = 0 would force N(x) = f'(x)^2 = 0 and a double
     root of f mod q.  So t = N(x) / (4 f(x)) mod q, and a t outside that
     set at one such q leaves the quartic with no rational root.  The
-    table is _doubled_x_table(q, b mod q, c mod q), cached by that residue
+    table is _DOUBLED_X_TABLES[q, b mod q, c mod q], kept by that residue
     key, so each is built once per process, when a halving first reaches
     q, and shared by every curve with those residues; most targets are
     settled by the first two or three primes.
@@ -113,7 +114,7 @@ def _halve(curve: Curve, target: Point):
     b, c = curve.b, curve.c
     for q in _HALVING_SIEVE_PRIMES:
         if td % q:
-            table = _doubled_x_table(q, b % q, c % q)
+            table = _DOUBLED_X_TABLES[q, b % q, c % q]
             if table is not None and not table[tn * pow(td, -1, q) % q]:
                 return quartic, (), []
     roots = tuple(polys.rational_roots(list(quartic)))
@@ -311,9 +312,6 @@ _SQUARE_DIGITS = {n: _square_digits(n) for n in _SIEVE_MODULI}
 _SIEVE_BLOCK = 1 << 18  # progression terms per sieve block: a 32 KB integer at any height bound
 
 
-# One pattern per (n, k, a, b w^4 mod n, c w^6 mod n): at most 42,872,
-# four progressions times the sum of n^2.
-@cache
 def _square_pattern(n: int, k: int, a: int, bn: int, cn: int) -> int | None:
     """The n-bit mask whose bit r is set when F(k r + a) is a square mod n,
     for F = x^3 + bn x + cn, or None when every bit is: that modulus
@@ -325,28 +323,9 @@ def _square_pattern(n: int, k: int, a: int, bn: int, cn: int) -> int | None:
     return int(squares[::-1], 2)  # digit r of the reversed string is bit r
 
 
-def _progression(w: int) -> tuple[int, int, int, int]:
-    """(k, a, w^4, w^6) at denominator w: search_points scans u = k v + a,
-    and F(u) = u^3 + (b w^4) u + c w^6, so the pattern it reads at modulus
-    n has the key (n, k, a, b w^4 mod n, c w^6 mod n)."""
-    k = (8 if w % 2 == 0 else 1) * (3 if w % 3 == 0 else 1)
-    w4 = w**4
-    return k, 1 % k, w4, w4 * w * w
-
-
-def _warm_square_patterns(bs, cs, den_bound: int) -> None:
-    """Build every pattern that search_points(curve, H, den_bound) reads,
-    for H >= 1, on a curve with b in bs and c in cs.  At each w and modulus
-    n those keys are the product of the residues of b w^4 and of c w^6, so
-    the cost is that of the distinct residues and keys, not of the pairs
-    (b, c)."""
-    for w in range(1, den_bound + 1):
-        k, a, w4, w6 = _progression(w)
-        for n in _SIEVE_MODULI:
-            cns = {c * w6 % n for c in cs}
-            for bn in {b * w4 % n for b in bs}:
-                for cn in cns:
-                    _square_pattern(n, k, a, bn, cn)
+# One pattern per (n, k, a, b w^4 mod n, c w^6 mod n): at most 42,872,
+# four progressions times the sum of n^2.
+_SQUARE_PATTERNS = Memo(_square_pattern)
 
 
 def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[Point]:
@@ -375,29 +354,28 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
     Before any square root, a ratpoints-style sieve (M. Stoll) strikes out
     every v whose F(k v + a) is a non-residue modulo 16 or a small odd
     prime.  For each modulus n, the residues of v that pass form an n-bit
-    mask, _square_pattern(n, k, a, b w^4 mod n, c w^6 mod n), with k, a
-    and the powers of w from _progression.  It is cached by that residue
-    key and so built once per process; a sweep that forks workers builds
-    every key its grid reads before the fork (_warm_square_patterns), so
-    the workers build none.  The mask is tiled by doubling once per w,
-    and a modulus where every residue passes, such as 16 at even w, gets
-    no tile.  A block of the progression from `start` is one integer
-    whose bit i stands for v = start + i; it is ANDed with each tile
-    shifted right by start mod n, and the set bits left are walked in its
-    binary digits.  The sieve only filters: each survivor is
+    mask, _SQUARE_PATTERNS[n, k, a, b w^4 mod n, c w^6 mod n], kept by
+    that residue key and so built once per process (a forked sweep worker
+    hands the ones it builds back to its caller); it is tiled by
+    doubling once per w, and a modulus where every residue passes, such as
+    16 at even w, gets no tile.  A block of the progression from `start`
+    is one integer whose bit i stands for v = start + i; it is ANDed with
+    each tile shifted right by start mod n, and the set bits left are
+    walked in its binary digits.  The sieve only filters: each survivor is
     confirmed by exact_sqrt, so the result does not depend on the moduli.
     """
     found: list[Point] = []
     for w in range(1, den_bound + 1):
         w2 = w * w
-        k, a, w4, w6 = _progression(w)
-        bw4, cw6 = curve.b * w4, curve.c * w6
+        bw4, cw6 = curve.b * w2 * w2, curve.c * w2 * w2 * w2
         hi = height_bound * w2
+        k = (8 if w % 2 == 0 else 1) * (3 if w % 3 == 0 else 1)
+        a = 1 % k
         lo, last = -((hi + a) // k), (hi - a) // k  # |k v + a| <= hi for lo <= v <= last
         width = min(_SIEVE_BLOCK, last - lo + 1)
         tiles = []
         for n in _SIEVE_MODULI:
-            tile = _square_pattern(n, k, a, bw4 % n, cw6 % n)
+            tile = _SQUARE_PATTERNS[n, k, a, bw4 % n, cw6 % n]
             if tile is None:
                 continue  # every residue passes: the tile would strike nothing
             span = n

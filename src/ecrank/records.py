@@ -19,24 +19,28 @@ from __future__ import annotations
 import json
 import marshal
 import time
-from itertools import combinations, zip_longest
+from itertools import combinations, islice, zip_longest
 
 from .arith import is_prime
 from .curves import Point, Value, discriminant, init_field
 from .descent import (
+    _DOUBLED_X_TABLES,
+    _SQUARE_PATTERNS,
     ClassVerdict,
     ProbePoint,
     RankCertificate,
     _check_probe_bounds,
-    _warm_square_patterns,
     rank_ge2_certificate,
     rank_ge3_probe,
 )
 from .errors import NotPrime, PrimeIsTwo, SweepResumeMismatch, SweepWorkerDied
 from .family import HYPOTHESIS_K, CongruenceEvidence, FamilyParams, in_hypothesis_class
-from .torsion import TorsionReport, _warm_cubic_values
+from .torsion import _CUBIC_VALUES, TorsionReport
 
 SCHEMA_VERSION = 1
+
+# The sieve tables a record reads: a forked sweep worker sends back what it adds.
+_SIEVE_TABLES = (_SQUARE_PATTERNS, _DOUBLED_X_TABLES, _CUBIC_VALUES)
 
 CSV_HEADER = "m,p,q,r,discriminant,torsion_order,rank_lower_bound,probe_independent"
 
@@ -379,7 +383,9 @@ class _WorkerTraceback(Exception):
 def _stream_stride(conn, todo: list, opts: dict, start: int, stride: int) -> None:
     """Body of a forked sweep worker: compute todo[start::stride] in order
     and send each line over conn, or the exception that stopped it with its
-    traceback, which pickling would drop."""
+    traceback, which pickling would drop.  After the last line it sends the
+    entries it added to each sieve table, which would die with it."""
+    sizes = [len(table) for table in _SIEVE_TABLES]  # the caller's, at the fork
     try:
         for combo in todo[start::stride]:
             try:
@@ -390,33 +396,20 @@ def _stream_stride(conn, todo: list, opts: dict, start: int, stride: int) -> Non
                 conn.send((False, (exc, traceback.format_exc())))
                 return
             conn.send((True, line))
+        # a table only grows, so what this process added follows its size at the fork
+        added = [list(islice(t.items(), n, None)) for t, n in zip(_SIEVE_TABLES, sizes)]
+        conn.send((True, added))
     finally:
         conn.close()
-
-
-def _warm_sieve_tables(spec: SweepSpec) -> None:
-    """Build in this process every search pattern and Nagell-Lutz value
-    set that the sweep of spec reads, so that workers forked after it
-    build none.  The combos are every pair of an m value and a prime
-    triple, so the sweep meets every pair of b = -m^2 and c = (pqr)^2, and
-    each table's keys are the product of their residues: the cost is that
-    of the m values, the triples and the keys, not of the combos.  The
-    halving tables stay lazy, since a worker misses few of them and the
-    grid reads a small share of their keys."""
-    bs = {-m * m for m in spec.m_values}
-    cs = {(p * q * r) ** 2 for p, q, r in combinations(set(spec.prime_pool), 3)}
-    _warm_cubic_values(bs, cs)
-    if spec.probe and spec.height_bound >= 1:  # else no record runs the search
-        _warm_square_patterns(bs, cs, spec.den_bound)
 
 
 def _fork_worker(todo: list, opts: dict, start: int, stride: int):
     """Fork the worker for todo[start::stride]; its pipe's receiving end
     and its process.  Fork, not spawn: a spawned worker would import
     ecrank and fill its caches afresh, which costs more than a whole
-    README grid, while a forked one starts with the caller's, and
-    run_sweep fills those with _warm_sieve_tables before it forks.  What
-    the worker adds to its caches dies with it."""
+    README grid, while a forked one starts with the caller's.  It sends
+    back the table entries it adds, so the workers of the caller's next
+    sweep start with them too."""
     import multiprocessing  # only here: just sweeps with threads >= 2 fork
 
     fork = multiprocessing.get_context("fork")
@@ -427,16 +420,17 @@ def _fork_worker(todo: list, opts: dict, start: int, stride: int):
     return conn, child
 
 
-def _receive(conn, child, combo) -> str:
-    """The next line a forked worker sends, its exception raised here, or
-    SweepWorkerDied when it exited without sending one."""
+def _receive(conn, child, what):
+    """The next thing (a line, or at the end its table entries) a forked
+    worker sends, its exception raised here, or SweepWorkerDied when it
+    exited without sending `what`."""
     try:
         ok, payload = conn.recv()
     except EOFError:
         child.join()
         raise SweepWorkerDied(
             f"sweep worker {child.pid} exited with code {child.exitcode} "
-            f"before sending the record of {combo}"
+            f"before sending {what}"
         ) from None
     if not ok:
         exc, text = payload
@@ -504,11 +498,11 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
     line back over its own pipe.  The caller takes the lines in combo
     order, so the file, progress calls and returned lines are the same for
     any k.  An exception in a worker is raised here at its combo's turn,
-    and no worker outlives the call.  With k >= 2 the caller first builds
-    every search pattern and Nagell-Lutz value set the grid reads
-    (_warm_sieve_tables), so the workers, whose own cache entries die with
-    them, start with all of them; a process that runs many sweeps builds
-    each table once.
+    and no worker outlives the call.  A worker's sieve table entries
+    would die with it, so after its last line it sends the ones it added,
+    and the caller keeps them: in a process that runs sweep after sweep,
+    each table is built once, and a worker forked after the first sweep of
+    a grid builds none.
 
     Raises ValueError for threads below 1, before the file is touched.
     """
@@ -526,8 +520,6 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
     skip = len(on_disk) - 1 if spec.output_format == "csv" and on_disk else len(on_disk)
     todo = combos[skip:]
     k = max(1, min(threads, len(todo)))
-    if k > 1:
-        _warm_sieve_tables(spec)
     workers = []  # (receiving end, process) of the workers for j = 1 .. k - 1
     lines: list[str] = []
     fh = None
@@ -540,7 +532,10 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
                 fh.write(CSV_HEADER + "\n")
         for i, combo in enumerate(todo):
             j = i % k
-            line = _sweep_worker(combo, opts) if j == 0 else _receive(*workers[j - 1], combo)
+            if j == 0:
+                line = _sweep_worker(combo, opts)
+            else:
+                line = _receive(*workers[j - 1], f"the record of {combo}")
             lines.append(line)
             if fh is not None:
                 if spec.output_format == "csv":
@@ -550,6 +545,9 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
                 fh.flush()
             if progress is not None:
                 progress(len(lines) + skip, len(combos))
+        for conn, child in workers:
+            for table, entries in zip(_SIEVE_TABLES, _receive(conn, child, "its table entries")):
+                table.update(entries)
     finally:
         if fh is not None:
             fh.close()

@@ -16,11 +16,10 @@ beside the family congruences that family.cite_obstructions cites.
 """
 from __future__ import annotations
 
-from functools import cache
 from math import gcd
 
 from . import polys
-from .arith import divisors, square_part_root
+from .arith import Memo, divisors, square_part_root
 from .curves import INFINITY, Curve, Point, Value, _add_raw, discriminant, init_field, scalar_mul
 from .errors import InconsistentCertificate, UnsupportedOrder
 from .reduction import count_points, good_odd_primes, reduce_curve
@@ -39,22 +38,13 @@ SUPPORTED_ORDERS = (2, 3, 5, 7)
 _CANDIDATE_MODULI = (27, 5, 7, 16, 11, 13, 17, 19, 23)
 
 
-# One value set per (n, b mod n, c mod n): at most 2,528, the sum of n^2.
-@cache
 def _cubic_values(n: int, bn: int, cn: int) -> frozenset[int]:
     """The values of x^3 + bn x + cn mod n."""
     return frozenset([(x * x * x + bn * x + cn) % n for x in range(n)])
 
 
-def _warm_cubic_values(bs, cs) -> None:
-    """Build every value set that integral_torsion_candidates reads on a
-    curve with b in bs and c in cs: at each modulus, the product of the
-    residues of b and of c."""
-    for n in _CANDIDATE_MODULI:
-        cns = {c % n for c in cs}
-        for bn in {b % n for b in bs}:
-            for cn in cns:
-                _cubic_values(n, bn, cn)
+# One value set per (n, b mod n, c mod n): at most 2,528, the sum of n^2.
+_CUBIC_VALUES = Memo(_cubic_values)
 
 
 def torsion_order_bound(curve: Curve, num_primes: int) -> tuple[int, list[tuple[int, int]]]:
@@ -204,13 +194,13 @@ def integral_torsion_candidates(curve: Curve) -> list[Point]:
 
     Each y goes to exact root extraction only if y^2 mod n is a value of
     x^3 + bx + c mod n for every n in _CANDIDATE_MODULI.  Each value set
-    is _cubic_values(n, b mod n, c mod n), cached by its residue key, so it
+    is _CUBIC_VALUES[n, b mod n, c mod n], kept by its residue key, so it
     is built once per process and shared by every curve with those
     residues, and the filter drops no y that has an integral x.
     """
     candidates = set(two_torsion_points(curve))
     b, c = curve.b, curve.c
-    tables = [(n, _cubic_values(n, b % n, c % n)) for n in _CANDIDATE_MODULI]
+    tables = [(n, _CUBIC_VALUES[n, b % n, c % n]) for n in _CANDIDATE_MODULI]
     for y in divisors(square_part_root(discriminant(curve))):
         y2 = y * y
         if not all(y2 % n in values for n, values in tables):

@@ -4,18 +4,19 @@ halving sieve's doubled-x tables and the Nagell-Lutz candidate sets.
 Each entry must equal what a direct computation from the curve's own
 coefficients gives, curves whose coefficients agree modulo every sieve
 modulus must share entries, and no sweep may grow a table past the number
-of residue keys it can have.  A sweep that forks builds, before the fork,
-exactly the search patterns and value sets its grid reads.
+of residue keys it can have.  A forked sweep worker hands the entries it
+builds back to its caller, so the next sweep's workers build none.
 """
+import json
 import random
 from math import lcm
 
 import pytest
 
-from ecrank import descent, polys, records, torsion
+from ecrank import descent, polys, torsion
 from ecrank.curves import Curve, Point
 from ecrank.family import FamilyParams, build_family_curve
-from ecrank.records import SweepSpec, run_sweep
+from ecrank.records import SweepSpec, canonical_comparable, run_sweep
 
 # search_points' progressions u = k v + a: k is 1, 8, 3 or 24 and a = 1 mod k
 PROGRESSIONS = ((1, 0), (8, 1), (3, 1), (24, 1))
@@ -24,7 +25,7 @@ PROGRESSIONS = ((1, 0), (8, 1), (3, 1), (24, 1))
 # another with the same residues.
 SHIFTED = ((1, 1), (8, 5), (3, 2), (24, 13))
 
-BUILDERS = (descent._square_pattern, torsion._cubic_values, descent._doubled_x_table)
+TABLES = (descent._SQUARE_PATTERNS, torsion._CUBIC_VALUES, descent._DOUBLED_X_TABLES)
 
 # w up to 6 runs all four progressions
 GRID = dict(m_values=(2, 34, 66), prime_pool=(3, 5, 7, 11, 13), height_bound=60, den_bound=6,
@@ -32,12 +33,12 @@ GRID = dict(m_values=(2, 34, 66), prime_pool=(3, 5, 7, 11, 13), height_bound=60,
 
 
 def _sizes():
-    return [builder.cache_info().currsize for builder in BUILDERS]
+    return [len(table) for table in TABLES]
 
 
 def _clear():
-    for builder in BUILDERS:
-        builder.cache_clear()
+    for table in TABLES:
+        table.clear()
 
 
 def _coefficients(rng):
@@ -92,15 +93,15 @@ def test_tables_match_direct_computation():
     for b, c in pairs:
         for k, a in PROGRESSIONS + SHIFTED:
             for n in descent._SIEVE_MODULI:
-                got = descent._square_pattern(n, k, a, b % n, c % n)
+                got = descent._SQUARE_PATTERNS[n, k, a, b % n, c % n]
                 assert got == _direct_pattern(b, c, n, k, a), (b, c, n, k, a)
         for q in descent._HALVING_SIEVE_PRIMES:
-            table = descent._doubled_x_table(q, b % q, c % q)
+            table = descent._DOUBLED_X_TABLES[q, b % q, c % q]
             assert table == _direct_doubled_x(b, c, q), (b, c, q)
             if table is None:
                 bad_primes.add(q)
         for n in torsion._CANDIDATE_MODULI:
-            assert torsion._cubic_values(n, b % n, c % n) == set(_direct_values(b, c, n)), (b, c, n)
+            assert torsion._CUBIC_VALUES[n, b % n, c % n] == set(_direct_values(b, c, n)), (b, c, n)
     assert bad_primes == set(descent._HALVING_SIEVE_PRIMES)
 
 
@@ -127,14 +128,6 @@ def test_curves_with_equal_residues_share_tables(monkeypatch):
     assert _sizes() == sizes
 
 
-def _recording(builder, keys):
-    """builder, noting each key it is called with."""
-    def call(*key):
-        keys.add(key)
-        return builder(*key)
-    return call
-
-
 def _assert_within_bounds():
     squares = [sum(n * n for n in moduli)
                for moduli in (descent._SIEVE_MODULI, torsion._CANDIDATE_MODULI,
@@ -144,53 +137,44 @@ def _assert_within_bounds():
     assert all(0 < size <= bound for size, bound in zip(_sizes(), bounds))
 
 
-def test_tables_stay_within_their_residue_bounds(monkeypatch):
+def test_tables_stay_within_their_residue_bounds():
     _clear()  # drop the other progressions the tests above built
-    keys = {name: set() for name in ("_square_pattern", "_cubic_values", "_doubled_x_table")}
-    for module, name in ((descent, "_square_pattern"), (torsion, "_cubic_values"),
-                         (descent, "_doubled_x_table")):
-        monkeypatch.setattr(module, name, _recording(getattr(module, name), keys[name]))
     run_sweep(SweepSpec(**GRID), threads=1)
     _assert_within_bounds()
-    for n, k, a, bn, cn in keys["_square_pattern"]:
+    patterns, values, doubled_x = TABLES  # each holds just the keys the sweep asked for
+    for n, k, a, bn, cn in patterns:
         assert n in descent._SIEVE_MODULI and 0 <= bn < n and 0 <= cn < n
-    assert {key[1:3] for key in keys["_square_pattern"]} == set(PROGRESSIONS)
-    for n, bn, cn in keys["_cubic_values"]:
+    assert {key[1:3] for key in patterns} == set(PROGRESSIONS)
+    for n, bn, cn in values:
         assert n in torsion._CANDIDATE_MODULI and 0 <= bn < n and 0 <= cn < n
-    for q, bq, cq in keys["_doubled_x_table"]:
+    for q, bq, cq in doubled_x:
         assert q in descent._HALVING_SIEVE_PRIMES and 0 <= bq < q and 0 <= cq < q
 
 
-def test_forked_sweep_stays_within_the_residue_bounds():
+def _sweep(threads):
+    """The grid's records, timings aside."""
+    lines = run_sweep(SweepSpec(**GRID), threads=threads)
+    return [canonical_comparable(json.loads(line)) for line in lines]
+
+
+def _refuse(*key):
+    raise AssertionError(f"built {key}")
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_forked_sweep_stays_within_the_residue_bounds(monkeypatch, threads):
+    """A forked sweep leaves its caller with exactly the keys a serial sweep
+    reads, the workers' entries equal to the builder's, and the next sweep
+    of the grid, forked or not, builds nothing in any process."""
     _clear()
-    run_sweep(SweepSpec(**GRID), threads=2)
+    serial = _sweep(1)
+    keys = [set(table) for table in TABLES]
+    _clear()
+    assert _sweep(threads) == serial
     _assert_within_bounds()
-
-
-@pytest.mark.parametrize("probe", [True, False])
-def test_warm_step_builds_the_keys_a_sweep_reads(monkeypatch, probe):
-    """The search patterns and value sets built before a fork are exactly
-    those a serial sweep reads: none is missing and none is extra.  Without
-    the probe no record searches, so no pattern is built."""
-    spec = SweepSpec(**GRID, probe=probe)
-    _clear()
-    records._warm_sieve_tables(spec)
-    warmed = _sizes()[:2]
-    assert (warmed[0] > 0) == probe and warmed[1] > 0
-    run_sweep(spec, threads=1)
-    assert _sizes()[:2] == warmed
-    _clear()
-    run_sweep(spec, threads=1)
-    assert _sizes()[:2] == warmed
-
-    _clear()
-    at_fork = []
-    fork = records._fork_worker
-
-    def recording_fork(*args):
-        at_fork.append(_sizes()[:2])
-        return fork(*args)
-
-    monkeypatch.setattr(records, "_fork_worker", recording_fork)
-    run_sweep(spec, threads=2)
-    assert at_fork == [warmed]
+    assert [set(table) for table in TABLES] == keys
+    for table in TABLES:
+        assert all(value == table.build(*key) for key, value in table.items())
+        monkeypatch.setattr(table, "build", _refuse)  # a forked worker inherits it
+    assert _sweep(threads) == serial
+    assert _sweep(1) == serial
