@@ -163,13 +163,12 @@ def cmd_count(args) -> int:
 
 
 def cmd_torsion(args) -> int:
-    if args.b is not None or args.c is not None:
-        if args.b is None or args.c is None:
-            raise EcrankError("--b and --c must be given together")
+    given = [v is not None for v in (args.b, args.c, args.m, args.p, args.q, args.r)]
+    if given not in ([True] * 2 + [False] * 4, [False] * 2 + [True] * 4):
+        raise EcrankError("give either --b and --c or all of --m/--p/--q/--r, not a mix")
+    if args.b is not None:
         curve = Curve(args.b, args.c)
         report = nagell_lutz_torsion(curve, args.reduction_primes)
-    elif None in (args.m, args.p, args.q, args.r):
-        raise EcrankError("give either --b/--c or all of --m/--p/--q/--r")
     else:
         params = _params_from_args(args)
         curve = build_family_curve(params)

@@ -13,8 +13,11 @@ that import this one.  A value lists its two or more fields, in order, as
 any later assignment or deletion raises AttributeError.  Values compare
 by exact type and fields, hash as their field tuple and rebuild through
 their constructor under copy and pickle, so they are safe to share
-between threads and processes.  The class statements are plain Python:
-nothing is generated or compiled when ecrank is imported.
+between threads and processes.  `value._replace(name=new, ...)` is the
+one way to derive a value with some fields changed: it too rebuilds
+through the constructor, so the constructor's checks run again.  The
+class statements are plain Python: nothing is generated or compiled when
+ecrank is imported.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ class Value:
         super().__init_subclass__(**kwargs)
         # with two or more names, attrgetter returns the field tuple
         cls._astuple = staticmethod(attrgetter(*cls.__slots__))
+        cls._field_index = {name: i for i, name in enumerate(cls.__slots__)}
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -58,6 +62,17 @@ class Value:
 
     def __reduce__(self):
         return type(self), self._astuple(self)
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, built through the constructor;
+        an unknown field name raises TypeError."""
+        fields = list(self._astuple(self))
+        for name, value in changes.items():
+            try:
+                fields[self._field_index[name]] = value
+            except KeyError:
+                raise TypeError(f"{type(self).__qualname__} has no field {name!r}") from None
+        return type(self)(*fields)
 
 
 class Point(Value):

@@ -437,16 +437,6 @@ def rank_ge3_probe(cert: RankCertificate, height_bound: int, den_bound: int = 2)
     bound = cert.rank_lower_bound
     if bound >= 2 and any(p.independent for p in probes):
         bound = 3
-    return RankCertificate(
-        params,
-        curve,
-        cert.hypotheses,
-        cert.torsion,
-        pts,
-        cert.class_base,
-        cert.class_shifted,
-        cert.class_combined,
-        bound,
-        height_bound,
-        tuple(probes),
+    return cert._replace(
+        rank_lower_bound=bound, probe_height=height_bound, probe_points=tuple(probes)
     )

@@ -14,7 +14,9 @@ records the congruences on m mod 3, 4 and 8 that rule out orders 3, 5
 and 7 in a torsion report, with an order-2 verdict read from its
 Nagell-Lutz candidates.  The canonical-target and order-3 facts are
 proven once in tier-1 (tests/test_congruence_facts.py); the order-5 and
-order-7 facts are only cited, not derived from psi_5 or psi_7.
+order-7 facts are only cited, not derived from psi_5 or psi_7.  Both
+citations derive their result from the value they are given with
+Value._replace, so this module imports neither descent nor torsion.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from .arith import is_prime, two_adic_valuation
 from .curves import Curve, Point, Value, add, init_field, is_on_curve
 from .errors import InconsistentCertificate, NotPrime, PrimeIsTwo, PrimesNotDistinct
 from .errors import UnsupportedOrder
-from .torsion import TorsionReport
 
 # Weakest two-adic exponent under which the congruence arguments all apply:
 # the hypothesis is m = 2 (mod 2^K).
@@ -210,15 +211,7 @@ def cite_congruence(params: FamilyParams, verdict: ClassVerdict) -> ClassVerdict
         return verdict
     if not verdict.nonzero:
         raise InconsistentCertificate(f"congruence and halving routes disagree on {verdict.point}")
-    # type(verdict) is descent.ClassVerdict; descent imports this module
-    return type(verdict)(
-        verdict.point,
-        verdict.nonzero,
-        verdict.quartic,
-        verdict.quartic_roots,
-        verdict.preimages,
-        evidence,
-    )
+    return verdict._replace(congruence=evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +294,4 @@ def cite_obstructions(params: FamilyParams, report: TorsionReport) -> TorsionRep
             raise InconsistentCertificate(
                 f"order-{verdict.order} point found despite congruence obstruction"
             )
-    return TorsionReport(
-        report.bound_from_reduction,
-        report.primes_used,
-        report.integral_candidates,
-        report.torsion_order,
-        report.generators,
-        report.structure,
-        obstructions,
-    )
+    return report._replace(obstructions=obstructions)

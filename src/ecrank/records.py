@@ -85,11 +85,9 @@ class SweepSpec(Value):
             raise ValueError(f"m values must be positive integers, got {list(m_values)}")
         if len(set(prime_pool)) < 3:
             raise ValueError("prime pool needs at least three distinct primes")
-        if num_reduction_primes < 1:
-            raise ValueError("the number of reduction primes must be at least 1")
         if output_format not in ("jsonl", "csv"):
             raise ValueError(f"unknown output format {output_format!r}")
-        _check_probe_bounds(height_bound, den_bound)
+        _record_options(num_reduction_primes, probe, height_bound, den_bound)
         for p in prime_pool:
             if p == 2:
                 raise PrimeIsTwo("prime pool entries must be odd")
@@ -216,6 +214,27 @@ def certificate_to_record(cert: RankCertificate, options: dict, timings: dict[st
     return record
 
 
+def _record_options(reduction_primes: int, probe: bool, height_bound: int, den_bound: int) -> dict:
+    """The options of a record, in record order, once each is checked.
+
+    A bool passes an int's range check and a float fails only inside the
+    search; either would be recorded as given, and recheck_diff, which
+    coerces the stored options, would then name them.  Raises ValueError
+    for a count that is not an int, a probe that is not a bool, fewer than
+    one reduction prime, or a negative probe bound.
+    """
+    options = dict(reduction_primes=reduction_primes, probe=probe,
+                   height_bound=height_bound, den_bound=den_bound)
+    for name, v in options.items():
+        kind = bool if name == "probe" else int
+        if type(v) is not kind:
+            raise ValueError(f"{name} must be {kind.__name__}, got {v!r}")
+    if reduction_primes < 1:
+        raise ValueError("the number of reduction primes must be at least 1")
+    _check_probe_bounds(height_bound, den_bound)
+    return options
+
+
 def build_curve_record(
     params: FamilyParams,
     *,
@@ -226,16 +245,10 @@ def build_curve_record(
 ) -> dict:
     """Run the full pipeline on one parameter set and package the result.
 
-    The options are recorded even with probe=False, so negative bounds
-    raise ValueError either way.
+    The options are recorded even with probe=False, so an option of the
+    wrong type or range raises ValueError either way (_record_options).
     """
-    _check_probe_bounds(height_bound, den_bound)
-    options = {
-        "reduction_primes": reduction_primes,
-        "probe": probe,
-        "height_bound": height_bound,
-        "den_bound": den_bound,
-    }
+    options = _record_options(reduction_primes, probe, height_bound, den_bound)
     t0 = time.perf_counter()
     cert = rank_ge2_certificate(params, reduction_primes)
     t1 = time.perf_counter()
@@ -509,12 +522,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     combos = spec.combos()
-    opts = {
-        "reduction_primes": spec.num_reduction_primes,
-        "probe": spec.probe,
-        "height_bound": spec.height_bound,
-        "den_bound": spec.den_bound,
-    }
+    opts = _record_options(spec.num_reduction_primes, spec.probe, spec.height_bound, spec.den_bound)
     out_path = spec.output_path
     on_disk = _resume_lines(spec, combos, opts) if out_path else []
     skip = len(on_disk) - 1 if spec.output_format == "csv" and on_disk else len(on_disk)

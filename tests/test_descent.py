@@ -411,10 +411,13 @@ def test_probe_positive_control_rank_three():
     params = FamilyParams(34, 3, 5, 7)
     curve = build_family_curve(params)
     assert 9**2 == _cubic(curve, -38)
-    cert = rank_ge3_probe(rank_ge2_certificate(params), 50, den_bound=1)
+    base = rank_ge2_certificate(params)
+    cert = rank_ge3_probe(base, 50, den_bound=1)
     assert cert.rank_lower_bound == 3
     independents = [p.point for p in cert.probe_points if p.independent]
     assert Point(-38, 9) in independents and Point(47, 246) in independents
+    # the probe changes only its own fields, so a field added later is kept
+    assert cert._replace(rank_lower_bound=2, probe_height=None, probe_points=()) == base
 
 
 def test_probe_positive_control_small_m():

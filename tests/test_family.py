@@ -6,7 +6,7 @@ import pytest
 from ecrank import descent
 from ecrank.arith import divisors
 from ecrank.curves import Point, discriminant, is_on_curve
-from ecrank.descent import rank_ge2_certificate
+from ecrank.descent import class_is_nonzero, rank_ge2_certificate
 from ecrank.errors import InconsistentCertificate, NotPrime, PrimeIsTwo, PrimesNotDistinct
 from ecrank.family import (
     NOT_OBSTRUCTED,
@@ -14,10 +14,11 @@ from ecrank.family import (
     FamilyParams,
     build_family_curve,
     canonical_points,
+    cite_congruence,
     cite_obstructions,
     validate_hypotheses,
 )
-from ecrank.torsion import TorsionReport, nagell_lutz_torsion
+from ecrank.torsion import nagell_lutz_torsion
 
 GRID_SEED = Path(__file__).resolve().parents[1] / "bench" / "data" / "grid_seed.jsonl"
 
@@ -143,19 +144,30 @@ def test_cited_class_with_a_half_is_inconsistent(monkeypatch):
     assert cert.class_base.nonzero is False and cert.class_base.congruence is None
 
 
+@pytest.mark.parametrize("params", [FamilyParams(2, 3, 7, 11), FamilyParams(3, 5, 7, 11)])
+def test_citations_change_only_their_own_field(params):
+    """Each citation derives its value from the one it is given, so a field
+    added to TorsionReport or ClassVerdict later is carried through."""
+    report = nagell_lutz_torsion(build_family_curve(params))
+    cited = cite_obstructions(params, report)
+    assert len(cited.obstructions) == 4
+    assert cited._replace(obstructions=report.obstructions) == report
+    curve = build_family_curve(params)
+    for target in canonical_points(params):
+        verdict = class_is_nonzero(curve, target)
+        cited = cite_congruence(params, verdict)
+        if params.m == 2:
+            assert cited.congruence is not None
+            assert cited._replace(congruence=None) == verdict
+        else:
+            assert cited is verdict
+
+
 def test_cited_obstruction_with_a_point_of_that_order_is_inconsistent():
     """A torsion order divisible by an obstructed prime contradicts the
     citation; where the order-3 hypothesis fails, the same order passes."""
     def with_order_3(report):
-        return TorsionReport(
-            report.bound_from_reduction,
-            report.primes_used,
-            report.integral_candidates,
-            3,
-            report.generators,
-            report.structure,
-            report.obstructions,
-        )
+        return report._replace(torsion_order=3)
 
     params = FamilyParams(2, 3, 7, 11)
     report = nagell_lutz_torsion(build_family_curve(params))

@@ -119,6 +119,41 @@ def test_sweep_spec_validation(tmp_path):
     SweepSpec(m_values=(2, 34), prime_pool=(3, 5, 7), require_hypotheses=True)
 
 
+# Each record option with values of the wrong type: a bool passes an int's
+# range check and a float fails only inside the search.
+WRONG_OPTION_TYPES = [
+    ("reduction_primes", True), ("reduction_primes", 3.0), ("reduction_primes", "3"),
+    ("probe", 1), ("probe", 0), ("probe", None), ("probe", "yes"),
+    ("height_bound", True), ("height_bound", 2.5), ("height_bound", "50"),
+    ("den_bound", False), ("den_bound", 1.0), ("den_bound", None),
+]
+
+
+@pytest.mark.parametrize("name, value", WRONG_OPTION_TYPES)
+def test_options_of_the_wrong_type_are_refused_before_writing(tmp_path, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be "):
+        build_curve_record(FamilyParams(2, 3, 7, 11), **{**FAST, name: value})
+    spec_name = "num_reduction_primes" if name == "reduction_primes" else name
+    out = tmp_path / "sweep.jsonl"
+    with pytest.raises(ValueError, match=f"{name} must be "):
+        run_sweep(SweepSpec(m_values=(2,), prime_pool=(3, 7, 11), **{spec_name: value},
+                            output_path=str(out)))
+    assert not out.exists()
+
+
+def test_a_stored_option_of_the_wrong_type_is_named_by_recheck():
+    """recheck_diff coerces the stored options, so the coerced record is the
+    one that differs, and the stored option is named by its path."""
+    rec = json.loads(record_to_line(build_curve_record(FamilyParams(2, 3, 7, 11),
+                                                       **{**FAST, "probe": True})))
+    rec["options"]["probe"] = 1
+    assert recheck_diff(rec) == "options.probe"
+    rec["options"]["probe"] = True
+    assert recheck_diff(rec) is None
+    rec["options"]["reduction_primes"] = "3"
+    assert recheck_diff(rec) == "options.reduction_primes"
+
+
 def test_sweep_combos_lexicographic():
     spec = SweepSpec(m_values=(34, 2), prime_pool=(7, 3, 5, 11), probe=False)
     combos = spec.combos()
@@ -280,6 +315,13 @@ def test_cli_torsion(capsys):
     assert main(["torsion", "--m", "2", "--p", "3", "--q", "7", "--r", "11"]) == 0
     assert "order: 1" in capsys.readouterr().out
     assert main(["torsion"]) == 2
+    # a mix of the two modes is refused, not settled by ignoring one
+    family = ["--m", "2", "--p", "3", "--q", "7", "--r", "11"]
+    for flags in (["--b", "-1", "--c", "0", "--m", "2"], ["--b", "-1", "--c", "0", *family],
+                  ["--b", "-1", *family], ["--b", "-1"], family[:6]):
+        assert main(["torsion", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: give either --b and --c")
 
 
 def test_cli_recheck(tmp_path, capsys):

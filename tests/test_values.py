@@ -1,7 +1,8 @@
 """The value contract shared by every ecrank value type (curves.Value):
 fields are fixed at construction, equality is by exact type and fields,
-the hash is that of the field tuple, copy and pickle round-trip, and the
-repr is Name(field=value, ...) in field order."""
+the hash is that of the field tuple, copy and pickle round-trip, the
+repr is Name(field=value, ...) in field order, and _replace rebuilds
+through the constructor with the named fields changed."""
 import copy
 import os
 import pickle
@@ -12,12 +13,19 @@ from pathlib import Path
 
 import pytest
 
-from ecrank.curves import Point, Value
-from ecrank.descent import rank_ge2_certificate, rank_ge3_probe
-from ecrank.family import CongruenceEvidence, FamilyParams, ObstructionVerdict
+from ecrank.curves import INFINITY, Curve, Point, Value
+from ecrank.descent import class_is_nonzero, rank_ge2_certificate, rank_ge3_probe
+from ecrank.errors import NotPrime
+from ecrank.family import (
+    CongruenceEvidence,
+    FamilyParams,
+    HypothesisReport,
+    ObstructionVerdict,
+    canonical_points,
+)
 from ecrank.records import SweepSpec
 from ecrank.reduction import reduce_curve
-from ecrank.torsion import RootVerdict, division_poly_has_integer_root
+from ecrank.torsion import RootVerdict, division_poly_has_integer_root, nagell_lutz_torsion
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -41,6 +49,26 @@ SAMPLES = [
     SweepSpec((2, 34), (3, 5, 7), height_bound=50),
 ]
 IDS = [type(v).__name__ for v in SAMPLES]
+
+# One value of each sample's type that differs from it in every field.
+_OTHER_PARAMS = FamilyParams(3, 11, 13, 17)
+OTHERS = [
+    Point(1, -2),
+    Curve(-1, 0),
+    reduce_curve(Curve(-1, 0), 2),
+    RootVerdict(7, True, (1,)),
+    nagell_lutz_torsion(Curve(-1, 0)),
+    _OTHER_PARAMS,
+    HypothesisReport(False, False, False, False),
+    canonical_points(_OTHER_PARAMS),
+    _CERT.class_shifted.congruence,
+    ObstructionVerdict(2, "not_obstructed", "x = 1"),
+    class_is_nonzero(_CERT.curve, INFINITY),
+    _CERT.probe_points[1],
+    rank_ge2_certificate(_OTHER_PARAMS, 3),
+    SweepSpec((66,), (11, 13, 17), height_bound=7, num_reduction_primes=3, den_bound=1,
+              probe=False, require_hypotheses=True, output_path="out.csv", output_format="csv"),
+]
 
 
 def fields(value):
@@ -94,6 +122,37 @@ def test_pinned_reprs():
     assert repr(Point(Fraction(1, 4), Fraction(-3, 8))) == "Point(1/4, -3/8)"
     assert repr(Point(None, None)) == "Point(O)"
     assert repr(RootVerdict(3, False, ())) == "RootVerdict(order=3, has_integer_root=False, roots=())"
+
+
+@pytest.mark.parametrize("value", SAMPLES, ids=IDS)
+def test_replace_without_changes_is_an_equal_copy_and_refuses_unknown_names(value):
+    twin = value._replace()
+    assert type(twin) is type(value) and twin == value
+    with pytest.raises(TypeError, match="no field 'extra'"):
+        value._replace(extra=0)
+
+
+@pytest.mark.parametrize("value, other", list(zip(SAMPLES, OTHERS)), ids=IDS)
+def test_replace_changes_only_the_named_field(value, other):
+    assert type(other) is type(value)
+    before = fields(value)
+    for i, name in enumerate(type(value).__slots__):
+        new = getattr(other, name)
+        assert new != before[i], name
+        changed = value._replace(**{name: new})
+        assert type(changed) is type(value)
+        assert fields(changed) == before[:i] + (new,) + before[i + 1 :]
+    changed = value._replace(**{name: getattr(other, name) for name in type(value).__slots__})
+    assert changed == other and fields(value) == before
+
+
+def test_replace_runs_the_constructor_checks_again():
+    with pytest.raises(ValueError, match="both coordinates"):
+        Point(0, 1)._replace(y=None)
+    with pytest.raises(NotPrime):
+        FamilyParams(2, 3, 5, 7)._replace(p=9)
+    # the constructor's normalisation applies too
+    assert type(Point(0, 1)._replace(x=3).x) is Fraction
 
 
 def test_values_of_different_types_are_never_equal():
