@@ -312,15 +312,16 @@ _SQUARE_DIGITS = {n: _square_digits(n) for n in _SIEVE_MODULI}
 _SIEVE_BLOCK = 1 << 18  # progression terms per sieve block: a 32 KB integer at any height bound
 
 
-def _square_pattern(n: int, k: int, a: int, bn: int, cn: int) -> int | None:
-    """The n-bit mask whose bit r is set when F(k r + a) is a square mod n,
-    for F = x^3 + bn x + cn, or None when every bit is: that modulus
-    strikes nothing along the progression."""
+def _square_pattern(n: int, k: int, a: int, bn: int, cn: int) -> bytes | None:
+    """Eight periods of the n-bit mask whose bit r is set when F(k r + a)
+    is a square mod n, for F = x^3 + bn x + cn, as n little-endian bytes
+    (bit i of the block is residue i mod n), or None when every bit is
+    set: that modulus strikes nothing along the progression."""
     values = bytes([(x * x * x + bn * x + cn) % n for x in range(a, a + k * n, k)])
     squares = values.translate(_SQUARE_DIGITS[n])
     if b"0" not in squares:
         return None
-    return int(squares[::-1], 2)  # digit r of the reversed string is bit r
+    return int((squares * 8)[::-1], 2).to_bytes(n, "little")  # digit i reversed is bit i
 
 
 # One pattern per (n, k, a, b w^4 mod n, c w^6 mod n): at most 42,872,
@@ -355,14 +356,16 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
     every v whose F(k v + a) is a non-residue modulo 16 or a small odd
     prime.  For each modulus n, the residues of v that pass form an n-bit
     mask, _SQUARE_PATTERNS[n, k, a, b w^4 mod n, c w^6 mod n], kept by
-    that residue key and so built once per process (a forked sweep worker
-    hands the ones it builds back to its caller); it is tiled by
-    doubling once per w, and a modulus where every residue passes, such as
-    16 at even w, gets no tile.  A block of the progression from `start`
-    is one integer whose bit i stands for v = start + i; it is ANDed with
-    each tile shifted right by start mod n, and the set bits left are
-    walked in its binary digits.  The sieve only filters: each survivor is
-    confirmed by exact_sqrt, so the result does not depend on the moduli.
+    that residue key as n bytes that hold eight periods of the mask, and
+    so built once per process (a forked sweep worker hands the ones it
+    builds back to its caller).  Once per w each is tiled in one step, by
+    reading enough copies of those bytes as one integer, and a modulus
+    where every residue passes, such as 16 at even w, gets no tile.  A
+    block of the progression from `start` is one integer whose bit i
+    stands for v = start + i; it is ANDed with each tile shifted right by
+    start mod n, and the set bits left are walked in its binary digits.
+    The sieve only filters: each survivor is confirmed by exact_sqrt, so
+    the result does not depend on the moduli.
     """
     found: list[Point] = []
     for w in range(1, den_bound + 1):
@@ -375,14 +378,11 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
         width = min(_SIEVE_BLOCK, last - lo + 1)
         tiles = []
         for n in _SIEVE_MODULI:
-            tile = _SQUARE_PATTERNS[n, k, a, bw4 % n, cw6 % n]
-            if tile is None:
+            block = _SQUARE_PATTERNS[n, k, a, bw4 % n, cw6 % n]
+            if block is None:
                 continue  # every residue passes: the tile would strike nothing
-            span = n
-            while span < width + n:  # bit i is residue i mod n, for i < width + n
-                tile |= tile << span
-                span *= 2
-            tiles.append((n, tile))
+            # a block is 8n bits, so these copies set bit i to residue i mod n for i < width + n
+            tiles.append((n, int.from_bytes(block * (width // (8 * n) + 2), "little")))
         for start in range(lo, last + 1, _SIEVE_BLOCK):
             alive = (1 << min(_SIEVE_BLOCK, last + 1 - start)) - 1
             for n, tile in tiles:

@@ -35,12 +35,13 @@ from .descent import (
 )
 from .errors import NotPrime, PrimeIsTwo, SweepResumeMismatch, SweepWorkerDied
 from .family import HYPOTHESIS_K, CongruenceEvidence, FamilyParams, in_hypothesis_class
-from .torsion import _CUBIC_VALUES, TorsionReport
+from .torsion import _CUBIC_VALUES, _POINT_COUNTS, TorsionReport
 
 SCHEMA_VERSION = 1
 
-# The sieve tables a record reads: a forked sweep worker sends back what it adds.
-_SIEVE_TABLES = (_SQUARE_PATTERNS, _DOUBLED_X_TABLES, _CUBIC_VALUES)
+# The residue tables a record reads, the three sieves' and the point counts: a
+# forked sweep worker sends back what it adds.
+_SIEVE_TABLES = (_SQUARE_PATTERNS, _DOUBLED_X_TABLES, _CUBIC_VALUES, _POINT_COUNTS)
 
 CSV_HEADER = "m,p,q,r,discriminant,torsion_order,rank_lower_bound,probe_independent"
 

@@ -3,9 +3,14 @@ beside the family congruences that family.cite_obstructions cites.
 
 1. Reduction bound: the torsion group injects into E(F_ell) for every odd
    prime ell of good reduction, so its order divides the gcd of the counts.
+   A count depends only on ell, b mod ell and c mod ell, so for ell < 50
+   it is read from _POINT_COUNTS, kept by that residue key.
 2. Nagell-Lutz enumeration: rational torsion points on an integral model
    are integral with y = 0 or y^2 | Delta; each candidate is order-tested
-   up to 12, the largest order a rational point can have.
+   up to 12, the largest order a rational point can have.  A y goes to
+   root extraction only when y^2 mod n is a value of the cubic mod every
+   n in _CANDIDATE_MODULI; y = 0 is no exception, so a cubic with no root
+   mod one of them has no 2-torsion either.
 3. Division polynomials, a library cross-check that the tests compare with
    routes 1 and 2 (building a record never runs psi_3, psi_5 or psi_7): a
    rational point of exact order n has integral x-coordinate that is a
@@ -22,7 +27,7 @@ from . import polys
 from .arith import Memo, divisors, square_part_root
 from .curves import INFINITY, Curve, Point, Value, _add_raw, discriminant, init_field, scalar_mul
 from .errors import InconsistentCertificate, UnsupportedOrder
-from .reduction import count_points, good_odd_primes, reduce_curve
+from .reduction import ReducedCurve, count_points, good_odd_primes, reduce_curve
 
 # A rational point of finite order has order at most 12, and the possible
 # group orders are 1..10, 12 and 16 (the last from the Z/2 x Z/8 shape).
@@ -46,16 +51,39 @@ def _cubic_values(n: int, bn: int, cn: int) -> frozenset[int]:
 # One value set per (n, b mod n, c mod n): at most 2,528, the sum of n^2.
 _CUBIC_VALUES = Memo(_cubic_values)
 
+# Route 1 reads its counts at the odd primes below this from _POINT_COUNTS.
+_COUNT_TABLE_LIMIT = 50
+
+
+def _point_count(ell: int, bl: int, cl: int) -> int:
+    """#E(F_ell) for b = bl and c = cl (mod ell), ell an odd prime.  Since
+    16 is a unit mod ell, ell divides the discriminant exactly when it
+    divides 4 bl^3 + 27 cl^2, so the residues decide the reduction type,
+    and count_points checks the Hasse bound as it does for every count."""
+    kind = "bad" if (4 * bl**3 + 27 * cl * cl) % ell == 0 else "good"
+    return count_points(ReducedCurve(ell, bl, cl, kind))
+
+
+# One count per (ell, b mod ell, c mod ell) for the odd primes ell below
+# _COUNT_TABLE_LIMIT: at most 10,462, the sum of ell^2.
+_POINT_COUNTS = Memo(_point_count)
+
 
 def torsion_order_bound(curve: Curve, num_primes: int) -> tuple[int, list[tuple[int, int]]]:
     """gcd of #E(F_ell) over the first `num_primes` odd primes of good
-    reduction, with per-prime evidence.  The torsion order divides it."""
+    reduction, with per-prime evidence.  The torsion order divides it.
+    Below _COUNT_TABLE_LIMIT each count is _POINT_COUNTS[ell, b mod ell,
+    c mod ell], built once per process; larger primes are counted here."""
     if num_primes < 1:
         raise ValueError("num_primes must be at least 1")
     bound = 0
     evidence = []
+    b, c = curve.b, curve.c
     for ell in good_odd_primes(curve, num_primes):
-        n = count_points(reduce_curve(curve, ell))
+        if ell < _COUNT_TABLE_LIMIT:
+            n = _POINT_COUNTS[ell, b % ell, c % ell]
+        else:
+            n = count_points(reduce_curve(curve, ell))
         evidence.append((ell, n))
         bound = gcd(bound, n)
     return bound, evidence
@@ -196,11 +224,13 @@ def integral_torsion_candidates(curve: Curve) -> list[Point]:
     x^3 + bx + c mod n for every n in _CANDIDATE_MODULI.  Each value set
     is _CUBIC_VALUES[n, b mod n, c mod n], kept by its residue key, so it
     is built once per process and shared by every curve with those
-    residues, and the filter drops no y that has an integral x.
+    residues, and the filter drops no y that has an integral x.  The same
+    test at y = 0 gates two_torsion_points: an integer root of the cubic
+    is a root mod every n, so a value set without 0 rules it out.
     """
-    candidates = set(two_torsion_points(curve))
     b, c = curve.b, curve.c
     tables = [(n, _CUBIC_VALUES[n, b % n, c % n]) for n in _CANDIDATE_MODULI]
+    candidates = set(two_torsion_points(curve)) if all(0 in v for _, v in tables) else set()
     for y in divisors(square_part_root(discriminant(curve))):
         y2 = y * y
         if not all(y2 % n in values for n, values in tables):

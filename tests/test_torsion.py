@@ -20,6 +20,7 @@ from ecrank.family import (
     congruence_obstruction,
 )
 from ecrank.torsion import (
+    _CANDIDATE_MODULI,
     division_poly_has_integer_root,
     division_polynomial,
     integral_torsion_candidates,
@@ -322,9 +323,18 @@ def _unfiltered_candidates(curve):
     return sorted(candidates, key=str)
 
 
+def _no_root_mod_some_candidate_modulus(curve):
+    """Whether the cubic has no root mod one of the candidate moduli, so
+    that the 2-torsion gate skips root extraction."""
+    f = [curve.c, curve.b, 0, 1]
+    return any(all(polys.evaluate_mod(f, x, n) for x in range(n)) for n in _CANDIDATE_MODULI)
+
+
 def test_candidate_filter_matches_unfiltered_loop():
     """Every torsion shape, 200 small random curves and family members:
-    the filtered loop finds exactly the oracle's candidates."""
+    the filtered loop finds exactly the oracle's candidates, on curves the
+    2-torsion gate skips and on curves whose y = 0 candidates it lets
+    through."""
     rng = random.Random(17)
     curves = [Curve(b, c) for b, c, _, _ in TORSION_ZOO]
     while len(curves) < len(TORSION_ZOO) + 200:
@@ -333,12 +343,15 @@ def test_candidate_filter_matches_unfiltered_loop():
             curves.append(Curve(b, c))
     for m, trip in itertools.product((2, 6, 34, 35), itertools.combinations((3, 5, 7, 11), 3)):
         curves.append(build_family_curve(FamilyParams(m, *trip)))
-    with_y = 0
+    with_y = gated = with_two_torsion = 0
     for curve in curves:
         found = integral_torsion_candidates(curve)
         assert found == _unfiltered_candidates(curve), curve
         with_y += sum(p.y != 0 for p in found)
+        gated += _no_root_mod_some_candidate_modulus(curve)
+        with_two_torsion += any(p.y == 0 for p in found)
     assert with_y >= 100  # the filter was tested on y that do give points
+    assert gated > 0 and with_two_torsion > 0  # and on both sides of the y = 0 gate
 
 
 def test_torsion_trivial_on_full_parameter_grid():
