@@ -15,7 +15,7 @@ independent nonzero classes therefore bounds the rank from below.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from . import polys
 from .arith import Memo, exact_sqrt, rational_sqrt
@@ -352,6 +352,15 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
     != 0 (mod 3), so u = 1 (mod 3).  No y = 0 point is lost: F(u) = 0 would
     make u^3 a multiple of w^4, so every prime of w would divide u.
 
+    The progression starts where F(u) can first be a square.  With
+    B = b w^4, C = c w^6, beta = max(-B, 0) and gamma = |C|^(1/3), any
+    t > sqrt(beta) + gamma has t^2 - beta > gamma^2 and t > gamma, so
+    t^3 + B t >= t (t^2 - beta) > |C| and F(-t) = -(t^3 + B t) + C < 0.
+    cut = isqrt(beta) + 1 + 2^ceil(L / 3), for L the bit length of |C|,
+    exceeds sqrt(beta) + gamma, since |C| < 2^L, so no point has u < -cut
+    and the progression starts at its first term from -min(hi, cut): an
+    integer bound, with no float and no search for F's real root.
+
     Before any square root, a ratpoints-style sieve (M. Stoll) strikes out
     every v whose F(k v + a) is a non-residue modulo 16 or a small odd
     prime.  For each modulus n, the residues of v that pass form an n-bit
@@ -374,7 +383,9 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
         hi = height_bound * w2
         k = (8 if w % 2 == 0 else 1) * (3 if w % 3 == 0 else 1)
         a = 1 % k
-        lo, last = -((hi + a) // k), (hi - a) // k  # |k v + a| <= hi for lo <= v <= last
+        # F(u) < 0 for every u below -cut, so the progression starts at -cut
+        cut = isqrt(max(-bw4, 0)) + 1 + (1 << -(-cw6.bit_length() // 3))
+        lo, last = -((min(hi, cut) + a) // k), (hi - a) // k  # -min(hi, cut) <= k v + a <= hi
         width = min(_SIEVE_BLOCK, last - lo + 1)
         tiles = []
         for n in _SIEVE_MODULI:

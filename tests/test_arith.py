@@ -4,7 +4,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import cache
 from itertools import combinations, permutations
-from math import prod
+from math import isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -363,15 +363,21 @@ def test_chunk_gcd_finds_primes_at_chunk_edges():
 def test_square_part_root_reads_segment_0_once_before_rho(monkeypatch, params):
     # the two verify-deep members whose cofactor left by segment 0 is from
     # 2^63 up: the scan to its cube root has read every window of segment 0,
-    # so the rho stage takes the cofactor without a second scan
+    # so once rho has split a factor off, the scan of what is left starts
+    # above 2^16 (for 514 it reads segment 1: rho splits off 105491, and
+    # the remainder 2657761 * 133918633 has its cube root above 2^16)
     n = discriminant(build_family_curve(FamilyParams(*params)))
     assert _cofactor(n) >= 1 << 63
     want = _square_part_oracle(n)
-    reads = []
-    table = arith._segment_windows
-    monkeypatch.setattr(arith, "_segment_windows", lambda k: reads.append(k) or table(k))
+    assert square_part_root(n) == want  # builds the tables this scan reads
+    reads = {"_segment_windows": [], "_segment_pieces": []}
+    for name, log in reads.items():
+        table = getattr(arith, name)
+        monkeypatch.setattr(arith, name, lambda k, table=table, log=log: log.append(k) or table(k))
     assert square_part_root(n) == want
-    assert reads == [0]
+    assert reads["_segment_windows"] == [0]
+    pieces = reads["_segment_pieces"]
+    assert pieces.count(0) == 1 and set(pieces) <= {0, 1}
 
 
 def test_square_part_root_stops_at_the_cube_root_below_2_16(monkeypatch):
@@ -417,16 +423,209 @@ def test_square_part_root_settles_below_2_63_without_rho(monkeypatch):
 def test_prime_tables_match_the_oracle_sieve_and_build_lazily():
     oracle = _primes_below(1 << 21)
     assert arith.small_primes() == oracle[: bisect_left(oracle, 1 << 16)]
+
+    def product(lo, hi):  # of the odd primes in [lo, hi): 2 is stripped apart
+        return prod(oracle[bisect_left(oracle, max(lo, 3)) : bisect_left(oracle, hi)])
+
     for k in range(32):
-        table = arith._segment_windows(k)
+        table = arith._window_products(k)
         width = (1 << 16) // len(table)
         assert width * len(table) == 1 << 16
-        for j, product in enumerate(table):
-            lo = max((k << 16) + width * j, 3)  # odd primes only: 2 is stripped apart
-            hi = (k << 16) + width * (j + 1)
-            assert product == prod(oracle[bisect_left(oracle, lo) : bisect_left(oracle, hi)])
+        for j, window in enumerate(table):
+            assert window == product((k << 16) + width * j, (k << 16) + width * (j + 1))
+        chunks = arith._segment_pieces(k)
+        span = arith._CHUNK * width // 2  # integers per half of a chunk
+        assert 2 * span * len(chunks) == 1 << 16
+        for c, halves in enumerate(chunks):
+            if k == c == 0:
+                assert halves == ()  # walked untested: no gate reads it
+                continue
+            assert len(halves) == 2
+            for h, pieces in enumerate(halves):
+                assert all(0 <= piece < 1 << arith._PIECE_BITS for piece in pieces) and pieces[-1]
+                whole = sum(piece << (arith._PIECE_BITS * i) for i, piece in enumerate(pieces))
+                lo = (k << 16) + span * (2 * c + h)
+                assert whole == product(lo, lo + span)
     arith._segment_windows.cache_clear()
-    square_part_root(65537 * 65539)  # below 2^48: no window above 2^16 reaches its cube root
+    arith._segment_pieces.cache_clear()
+    square_part_root(65537 * 65539)  # below 16385^3: the scan ends in the first chunk
     assert arith._segment_windows.cache_info().currsize == 1
+    assert arith._segment_pieces.cache_info().currsize == 0
     square_part_root(2073601**3)  # the cube of a window's low end in segment 31
-    assert arith._segment_windows.cache_info().currsize == 32
+    # above 2^16 a segment keeps the pieces of its chunks and no windows
+    assert arith._segment_windows.cache_info().currsize == 1
+    assert arith._segment_pieces.cache_info().currsize == 32
+
+
+def _strong_probable_prime(n, a):
+    """n passes the strong test to base a (n odd, a prime to n)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+ALL_13_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _all_13_bases(n):
+    """Miller-Rabin with every one of the first 13 prime bases, for every n."""
+    if n < 2:
+        return False
+    for p in ALL_13_BASES:
+        if n % p == 0:
+            return n == p
+    return all(_strong_probable_prime(n, a) for a in ALL_13_BASES)
+
+
+def test_is_prime_grades_are_the_smallest_strong_pseudoprimes():
+    grades = arith._MR_GRADES
+    assert [psi for psi, _ in grades] == sorted(psi for psi, _ in grades)
+    assert [len(bases) for _, bases in grades] == [1, 2, 3, 4, 5, 6, 7, 9, 12, 13]
+    for psi, bases in grades:
+        # psi passes every base of its grade, so that grade stops below it,
+        # and is_prime, which takes the next grade's bases, calls it composite
+        assert bases == ALL_13_BASES[: len(bases)]
+        assert psi % 2 and all(_strong_probable_prime(psi, a) for a in bases), psi
+        assert not is_prime(psi), psi
+
+
+def test_is_prime_agrees_with_a_sieve_below_2_million():
+    limit = 2 * 10**6
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    assert bytes(map(is_prime, range(limit))) == bytes(sieve)
+
+
+def test_is_prime_agrees_with_all_13_bases():
+    rng = random.Random(28)
+    primes = 0
+    for _ in range(20_000):
+        bits = rng.randrange(21, 91)  # odd n from 2^20 to 2^90, every grade above 2^20
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        got = is_prime(n)
+        assert got == _all_13_bases(n), n
+        primes += got
+    assert primes > 500
+
+
+def _segment_edges():
+    """(first, last) prime of every chunk of segments 1 to 31."""
+    oracle = _primes_below_2_21()
+    span = 1 << 14
+    return [
+        (block[0], block[-1])
+        for lo in range(1 << 16, 1 << 21, span)
+        for block in [oracle[bisect_left(oracle, lo) : bisect_left(oracle, lo + span)]]
+    ]
+
+
+def test_square_part_root_finds_each_segment_prime_to_the_third_power():
+    # p and p^3 for the first and the last prime of every chunk above 2^16
+    # (_chunk_edge_cases has p^2 q): p^3 alone, and p q with the prime q
+    # chosen so that the scan reaches p's chunk (q >= lo^3 / p, lo the
+    # chunk's low end) and the cofactor stays below 2^63
+    span = 1 << 14
+    cases = 0
+    for first, last in _segment_edges():
+        lo = (first - 1) // span * span + 1
+        for p in (first, last):
+            q = _next_prime(-(-(lo**3) // p))
+            assert lo**3 <= p * q < 1 << 63
+            for primes in ((p, p, p), (p, q)):
+                _check_against_primes(prod(primes), primes)
+                if p == first:  # n odd above, and with the 2s and 3s of a discriminant
+                    _check_against_primes(-16 * 3**4 * prod(primes), (2,) * 4 + (3,) * 4 + primes)
+                cases += 1
+    assert cases == 4 * 31 * 4
+
+
+def test_chunk_scan_reads_each_chunk_after_n_shrinks_mid_segment():
+    # primes of n in two chunks of one segment, and a cofactor large enough
+    # that the scan reaches the second chunk after dividing out the first:
+    # the gate of the second chunk then reduces its pieces mod a smaller n
+    edges = _segment_edges()
+    for k in (1, 7, 31):
+        (a, _), _, (b, _), (_, c) = edges[4 * (k - 1) : 4 * k]
+        for e1, e2 in ((1, 1), (2, 1), (1, 3), (3, 2)):
+            lo = (c - 1) // (1 << 14) * (1 << 14) + 1
+            q = _next_prime(lo**3)
+            n = a**e1 * b**e2 * c * q
+            assert arith._trial_division(n, 3, range(1, 32)) == ({a: e1, b: e2, c: 1}, q), (k, e1, e2)
+            _check_against_primes(n, (a,) * e1 + (b,) * e2 + (c, q))
+    # and in segment 0: primes in chunks 1 and 3, where a hit walks its windows
+    for p, s in ((16411, 49201), (32771, 65521)):
+        for big in (_next_prime(1 << 40), _next_prime(1 << 63)):
+            primes = (p, s, s, big)
+            _check_against_primes(prod(primes), primes)
+
+
+def test_chunk_gate_sums_stay_within_a_piece_of_n(monkeypatch):
+    # the powers 2^(b i) mod n are rebuilt whenever n shrinks, so every sum
+    # of a gate stays below 2^b n times the number of pieces; powers left
+    # from a larger n would still give the right gcd, only on larger sums.
+    # A gate's sums come just before its gcd, which is taken with the n
+    # they were reduced for.
+    edges = _segment_edges()
+    (a, _), _, (b, _), (_, c) = edges[8:12]  # three chunks of segment 3
+    n = a * b * c * _next_prime(c**3)
+    pending, checked = [], []
+    real_gcd = arith.gcd
+
+    def record_sum(terms):
+        pending.append(sum(terms))
+        return pending[-1]
+
+    def check_gcd(x, y):
+        checked.extend((x, total) for total in pending)
+        pending.clear()
+        return real_gcd(x, y)
+
+    monkeypatch.setattr(arith, "sum", record_sum, raising=False)
+    monkeypatch.setattr(arith, "gcd", check_gcd)
+    assert arith._trial_division(n, 3, range(1, 32))[0] == {a: 1, b: 1, c: 1}
+    assert square_part_root(2 * 3**5 * 16411 * 49201**2 * _next_prime(1 << 63)) == {3: 2, 49201: 1}
+    assert len(checked) > 20 and len({x for x, _ in checked}) >= 4  # n shrank mid-scan
+    for x, total in checked:
+        assert total.bit_length() <= arith._PIECE_BITS + x.bit_length() + 3, (x, total)
+
+
+# Primes on both sides of 2^21 for cofactors from 2^63 up
+RHO_SMALL = (65537, 1048573, 2097143)
+RHO_LARGE = (2097169, 16777259, 268435459)
+
+
+def test_square_part_root_after_a_rho_split_matches_factorize(monkeypatch):
+    # the shapes P Q S, P^2 Q, P Q^2, (P Q)^2 and P^3 Q: after rho splits a
+    # factor off, what is left is prime, below 2^63 (and scanned), or still
+    # composite from 2^63 up (rho again), as on 2097169^3 > 2^63
+    big = (_next_prime(1 << 40), _next_prime(1 << 45))
+    shapes = []
+    for p in RHO_SMALL + RHO_LARGE[:2]:
+        for q in RHO_LARGE:
+            if p != q:
+                shapes += [(p, q, s) for s in big]
+                shapes += [(p, p, q), (p, q, q), (p, p, q, q), (p, p, p, q), (q, q, q, p)]
+    # rho splits off 65537 first, and the remainder's scan finds 1048573,
+    # once and twice: a square part that only the scan after rho finds
+    planted = [(65537, 1048573, _next_prime(1 << 42)), (65537, 1048573, 1048573, 2097169)]
+    shapes = [c for c in shapes if prod(c) >= 1 << 63] + planted
+    assert len(shapes) > 50
+    scans = []
+    scan = arith._trial_division
+    monkeypatch.setattr(arith, "_trial_division", lambda *a: scans.append(scan(*a)) or scans[-1])
+    for i, primes in enumerate(shapes):
+        _check_against_primes(prod(primes), primes)
+        if i % 4 == 0:
+            _check_against_primes(-(2**4) * 3**3 * prod(primes), (2,) * 4 + (3,) * 3 + primes)
+    assert any(1048573 in found for found, _ in scans)

@@ -245,6 +245,53 @@ def test_search_points_matches_fraction_scan():
     assert {(4, 9), (9, 4), (9, 7)} <= residues
 
 
+def _numerator_scan(curve, height_bound, den_bound):
+    """Every numerator in the box, by an exact square test in integers:
+    x = u/w^2 with gcd(u, w) = 1, |u| <= height_bound w^2 and w <= den_bound
+    is on the curve when F(u) = u^3 + b w^4 u + c w^6 is a square."""
+    found = []
+    for w in range(1, den_bound + 1):
+        w2 = w * w
+        for u in range(-height_bound * w2, height_bound * w2 + 1):
+            f = u**3 + curve.b * w2 * w2 * u + curve.c * w2**3
+            if f >= 0 and gcd(u, w) == 1 and isqrt(f) ** 2 == f:
+                found.append(Point(Fraction(u, w2), Fraction(isqrt(f), w2 * w)))
+    return sorted(found, key=lambda p: (p.x, p.y))
+
+
+def test_search_points_start_drops_no_point():
+    """search_points starts each progression at -cut, where F(u) < 0 for
+    every u below; checked against every numerator in the box on random
+    (b, c) of both signs, cubics with three real roots, and b = 0, c = +-t^3,
+    whose point (-+t, 0) is a root of F."""
+    rng = random.Random(28)
+    curves = [Curve(0, t**3) for t in (1, 2, 3, 7, 8)] + [Curve(0, -27), Curve(-4, 0)]
+    while len(curves) < 17:
+        b, c = rng.randint(-60, 60), rng.randint(-400, 400)
+        if 4 * b**3 + 27 * c**2 != 0:
+            curves.append(Curve(b, c))
+    while len(curves) < 27:  # three real roots: the discriminant -16(4b^3 + 27c^2) > 0
+        b = -rng.randint(3, 400)
+        c = rng.randint(-isqrt(-4 * b**3 // 27), isqrt(-4 * b**3 // 27))
+        if 4 * b**3 + 27 * c**2 < 0:
+            curves.append(Curve(b, c))
+    cut_inside, points = 0, 0
+    for curve in curves:
+        b, c = curve.b, curve.c
+        for den in (1, 2, 3, 6):
+            w4, w6 = den**4, den**6
+            cut = isqrt(max(-b * w4, 0)) + 1 + (1 << -(-abs(c * w6).bit_length() // 3))
+            assert all(u**3 + b * w4 * u + c * w6 < 0 for u in range(-cut - 30, -cut))
+            for height in (3, 40):
+                cut_inside += cut < height * den * den
+                expected = _numerator_scan(curve, height, den)
+                assert search_points(curve, height, den) == expected, (curve, height, den)
+                points += len(expected)
+    assert cut_inside > 80 and points > 150
+    for t in (1, 2, 3, 7, 8):
+        assert Point(-t, 0) in search_points(Curve(0, t**3), 9, 1)
+
+
 def test_search_points_finds_planted_large_point():
     """A point with x near 10^5, far beyond reach of the Fraction scan,
     planted by choosing c = y0^2 - x0^3 - b x0."""
