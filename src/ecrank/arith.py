@@ -26,10 +26,6 @@ below psi_t, the smallest strong pseudoprime to the first t prime bases,
 those t bases are proven witnesses (Jaeschke 1993; Jiang-Deng 2014;
 Sorenson-Webster 2017).
 
-Memo is the dict that holds each sieve table of descent and torsion: an
-entry is built from its key on first use, and entries built in another
-process are added with update().
-
 Everything here is deterministic.  Pollard rho walks a fixed parameter
 schedule, so identical inputs always factor the same way; that property is
 what makes the record files byte-reproducible.
@@ -443,13 +439,21 @@ def two_adic_valuation(n: int) -> int:
 
 class Memo(dict):
     """A dict whose entry table[key] is build(*key), built on first use and
-    kept; update() adds entries built elsewhere."""
+    kept: each residue table of descent and torsion is one.
+
+    Memo.registry lists every Memo in the order they are made.  A table
+    only grows, so what a forked process added to a table comes after the
+    table's size at the fork: that slice of items(), per table in registry
+    order, is what a forked sweep worker hands back, and update() keeps it
+    in the caller."""
 
     __slots__ = ("build",)
+    registry: list[Memo] = []
 
     def __init__(self, build):
         super().__init__()
         self.build = build
+        Memo.registry.append(self)
 
     def __missing__(self, key):
         value = self[key] = self.build(*key)

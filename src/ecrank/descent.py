@@ -365,11 +365,15 @@ def search_points(curve: Curve, height_bound: int, den_bound: int = 2) -> list[P
     every v whose F(k v + a) is a non-residue modulo 16 or a small odd
     prime.  For each modulus n, the residues of v that pass form an n-bit
     mask, _SQUARE_PATTERNS[n, k, a, b w^4 mod n, c w^6 mod n], kept by
-    that residue key as n bytes that hold eight periods of the mask, and
-    so built once per process (a forked sweep worker hands the ones it
-    builds back to its caller).  Once per w each is tiled in one step, by
-    reading enough copies of those bytes as one integer, and a modulus
-    where every residue passes, such as 16 at even w, gets no tile.  A
+    that residue key as n bytes that hold eight periods of the mask (an
+    arith.Memo).  Once per w each is tiled in one step, by reading enough
+    copies of those bytes as one integer, and a modulus where every
+    residue passes, such as 16 at even w, gets no tile.  No higher power
+    of 2 or 3 would strike along these progressions: at even w, u = 1
+    (mod 8) and 16 | w^4 give F(u) = 1 (mod 8), and when 3 | w, u = 1
+    (mod 3) and 81 | w^4 give F(u) = 1 (mod 9); a number = 1 (mod 8) is a
+    square modulo every power of 2, and one = 1 (mod 3) modulo every power
+    of 3.  A
     block of the progression from `start` is one integer whose bit i
     stands for v = start + i; it is ANDed with each tile shifted right by
     start mod n, and the set bits left are walked in its binary digits.

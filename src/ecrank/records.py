@@ -21,11 +21,9 @@ import marshal
 import time
 from itertools import combinations, islice, zip_longest
 
-from .arith import is_prime
+from .arith import Memo, is_prime
 from .curves import Point, Value, discriminant, init_field
 from .descent import (
-    _DOUBLED_X_TABLES,
-    _SQUARE_PATTERNS,
     ClassVerdict,
     ProbePoint,
     RankCertificate,
@@ -35,13 +33,9 @@ from .descent import (
 )
 from .errors import NotPrime, PrimeIsTwo, SweepResumeMismatch, SweepWorkerDied
 from .family import HYPOTHESIS_K, CongruenceEvidence, FamilyParams, in_hypothesis_class
-from .torsion import _CUBIC_VALUES, _POINT_COUNTS, TorsionReport
+from .torsion import TorsionReport
 
 SCHEMA_VERSION = 1
-
-# The residue tables a record reads, the three sieves' and the point counts: a
-# forked sweep worker sends back what it adds.
-_SIEVE_TABLES = (_SQUARE_PATTERNS, _DOUBLED_X_TABLES, _CUBIC_VALUES, _POINT_COUNTS)
 
 CSV_HEADER = "m,p,q,r,discriminant,torsion_order,rank_lower_bound,probe_independent"
 
@@ -397,9 +391,9 @@ class _WorkerTraceback(Exception):
 def _stream_stride(conn, todo: list, opts: dict, start: int, stride: int) -> None:
     """Body of a forked sweep worker: compute todo[start::stride] in order
     and send each line over conn, or the exception that stopped it with its
-    traceback, which pickling would drop.  After the last line it sends the
-    entries it added to each sieve table, which would die with it."""
-    sizes = [len(table) for table in _SIEVE_TABLES]  # the caller's, at the fork
+    traceback, which pickling would drop, and after the last line what it
+    added to each table of Memo.registry, which would die with it."""
+    sizes = [len(table) for table in Memo.registry]  # the caller's, at the fork
     try:
         for combo in todo[start::stride]:
             try:
@@ -410,9 +404,7 @@ def _stream_stride(conn, todo: list, opts: dict, start: int, stride: int) -> Non
                 conn.send((False, (exc, traceback.format_exc())))
                 return
             conn.send((True, line))
-        # a table only grows, so what this process added follows its size at the fork
-        added = [list(islice(t.items(), n, None)) for t, n in zip(_SIEVE_TABLES, sizes)]
-        conn.send((True, added))
+        conn.send((True, [list(islice(t.items(), n, None)) for t, n in zip(Memo.registry, sizes)]))
     finally:
         conn.close()
 
@@ -421,9 +413,7 @@ def _fork_worker(todo: list, opts: dict, start: int, stride: int):
     """Fork the worker for todo[start::stride]; its pipe's receiving end
     and its process.  Fork, not spawn: a spawned worker would import
     ecrank and fill its caches afresh, which costs more than a whole
-    README grid, while a forked one starts with the caller's.  It sends
-    back the table entries it adds, so the workers of the caller's next
-    sweep start with them too."""
+    README grid, while a forked one starts with the caller's."""
     import multiprocessing  # only here: just sweeps with threads >= 2 fork
 
     fork = multiprocessing.get_context("fork")
@@ -512,11 +502,9 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
     line back over its own pipe.  The caller takes the lines in combo
     order, so the file, progress calls and returned lines are the same for
     any k.  An exception in a worker is raised here at its combo's turn,
-    and no worker outlives the call.  A worker's sieve table entries
-    would die with it, so after its last line it sends the ones it added,
-    and the caller keeps them: in a process that runs sweep after sweep,
-    each table is built once, and a worker forked after the first sweep of
-    a grid builds none.
+    and no worker outlives the call.  After its last line a worker hands
+    back its new table entries (arith.Memo), which the caller keeps, so a
+    worker forked after the first sweep of a grid builds none.
 
     Raises ValueError for threads below 1, before the file is touched.
     """
@@ -555,7 +543,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[str]:
             if progress is not None:
                 progress(len(lines) + skip, len(combos))
         for conn, child in workers:
-            for table, entries in zip(_SIEVE_TABLES, _receive(conn, child, "its table entries")):
+            for table, entries in zip(Memo.registry, _receive(conn, child, "its table entries")):
                 table.update(entries)
     finally:
         if fh is not None:

@@ -399,12 +399,13 @@ def test_search_progression_lemma_over_residues():
                 assert f not in squares3 or u == 1
 
 
-def _all_pass_moduli(curve, w):
-    """The sieve moduli at which every term of search_points' progression
-    for denominator w has a square value: the moduli it builds no tile for."""
+def _all_pass_moduli(curve, w, moduli=descent._SIEVE_MODULI):
+    """The moduli at which every term of search_points' progression for
+    denominator w has a square value: the sieve moduli it builds no tile
+    for, by default."""
     k = (8 if w % 2 == 0 else 1) * (3 if w % 3 == 0 else 1)
     f = [curve.c * w**6, curve.b * w**4, 0, 1]
-    return [n for n in descent._SIEVE_MODULI
+    return [n for n in moduli
             if all(polys.evaluate_mod(f, k * r + 1 % k, n) in {s * s % n for s in range(n)}
                    for r in range(n))]
 
@@ -413,12 +414,19 @@ def test_sieve_moduli_that_strike_nothing():
     """16 at even w and 3 when 3 | w strike nothing along the progression,
     and neither does 3 at any w on a family curve with m prime to 3: there
     u^3 = u (mod 3) leaves F(u) = (pqr w^3)^2 (mod 3) when 3 does not
-    divide w."""
+    divide w.  No higher power strikes either: F(u) = 1 (mod 8) at even w,
+    so 32 and 64 pass every term, and F(u) = 1 (mod 9) when 3 | w, so 9
+    and 27 do; at w = 1, 32 and 64 strike."""
     curve = build_family_curve(FamilyParams(66, 17, 47, 53))
     assert [_all_pass_moduli(curve, w) for w in (1, 2, 3, 4, 6)] == [[], [16], [3], [16], [16, 3]]
     for m, trip in ((2, (3, 7, 11)), (34, (3, 5, 7)), (130, (5, 11, 13))):
         for w in range(1, 7):
             assert 3 in _all_pass_moduli(build_family_curve(FamilyParams(m, *trip)), w), (m, w)
+    for cv in (curve, build_family_curve(FamilyParams(2, 3, 7, 11)), Curve(-7, 10)):
+        for w in range(2, 13):
+            powers = [32, 64] * (w % 2 == 0) + [9, 27] * (w % 3 == 0)
+            assert _all_pass_moduli(cv, w, powers) == powers, (cv, w)
+        assert _all_pass_moduli(cv, 1, (32, 64)) == []
 
 
 def test_probe_rejects_negative_bounds():

@@ -19,10 +19,11 @@ from pathlib import Path
 import pytest
 
 from ecrank import descent, polys, torsion
+from ecrank.arith import Memo
 from ecrank.curves import Curve, Point
 from ecrank.errors import BadReduction
 from ecrank.family import FamilyParams, build_family_curve
-from ecrank.records import _SIEVE_TABLES, SweepSpec, canonical_comparable, run_sweep
+from ecrank.records import SweepSpec, canonical_comparable, run_sweep
 from ecrank.reduction import count_points, naive_point_count, reduce_curve
 
 # search_points' progressions u = k v + a: k is 1, 8, 3 or 24 and a = 1 mod k
@@ -54,14 +55,18 @@ def _clear():
 
 def test_importing_the_cli_builds_no_entry():
     """A fresh `import ecrank.cli` leaves every residue table empty, and the
-    tables a forked sweep worker sends back are these four."""
-    code = ("import ecrank.cli; from ecrank.records import _SIEVE_TABLES; "
-            "print([len(table) for table in _SIEVE_TABLES])")
+    tables a forked sweep worker sends back, those of Memo.registry, are
+    these four: every Memo that descent and torsion bind."""
+    code = ("import ecrank.cli; from ecrank.arith import Memo; "
+            "print([len(table) for table in Memo.registry])")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True)
     assert run.stdout.strip() == "[0, 0, 0, 0]"
-    assert {id(table) for table in TABLES} == {id(table) for table in _SIEVE_TABLES}
+    bound = [v for module in (descent, torsion) for v in vars(module).values()
+             if isinstance(v, Memo)]
+    assert {id(table) for table in TABLES} == {id(table) for table in bound}
+    assert {id(table) for table in TABLES} == {id(table) for table in Memo.registry}
 
 
 def _coefficients(rng):
